@@ -10,7 +10,6 @@ taken from explicit configuration only, never from the host environment.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 import shutil
@@ -31,6 +30,7 @@ from .errors import (
     OfflineAndMissing,
 )
 from .parser import InputSpec
+from .state import file_digest
 
 log = logging.getLogger("lineage_forge.fetch")
 
@@ -49,11 +49,7 @@ def verify_checksum(path: str | Path, algorithm: str, expected_hex: str) -> Mism
     Returns None when the digest matches, otherwise a Mismatch carrying
     the actual digest.
     """
-    h = hashlib.new(algorithm)
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    actual = h.hexdigest()
+    actual = file_digest(path, algorithm)
     if actual == expected_hex.lower():
         return None
     return Mismatch(actual)

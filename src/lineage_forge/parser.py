@@ -8,8 +8,9 @@ functions, no conditionals. Files are UTF-8 with LF line endings.
 
 Automatic variables are only live inside recipes; everywhere else they
 pass through literally, like any `$` followed by something other than
-`(` or `$`, which keeps expansion idempotent on already-expanded text
-("$$HOME" expands to "$HOME" and stays that way).
+`(` or `$` ("$HOME" stays "$HOME"). Expansion is not idempotent: "$$"
+expands to "$" and "$$(X)" to "$(X)", so a literal `$` must be written
+`$$` once per expansion it is to survive.
 """
 
 from __future__ import annotations

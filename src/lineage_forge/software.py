@@ -8,7 +8,6 @@ acknowledgment text and per-software version macros.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,13 +93,8 @@ def verify_tarballs(entries: list[SoftwareEntry], tarball_dir: str | Path) -> Ta
     """Digest every pinned tarball. The report is order-independent
     (sorted by name) and idempotent. Policy (mismatch fatal, missing
     fatal only under --strict-software) is applied by the caller."""
-    if len(entries) <= 1:
-        results = [verify_tarball(e, tarball_dir) for e in entries]
-    else:
-        with cf.ThreadPoolExecutor(max_workers=min(8, len(entries))) as pool:
-            results = list(pool.map(lambda e: verify_tarball(e, tarball_dir), entries))
-    results.sort(key=lambda r: r.name)
-    return TarballReport(results)
+    results = [verify_tarball(e, tarball_dir) for e in entries]
+    return TarballReport(sorted(results, key=lambda r: r.name))
 
 
 def normalize_macro_stem(name: str) -> str:

@@ -11,17 +11,45 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 STATE_RELPATH = "state/build-state.tsv"
+CHUNK_SIZE = 1 << 16
 
 
-def file_digest(path: str | Path, algorithm: str = "sha256") -> str:
-    """Streaming content digest, lowercase hex."""
+def file_digest(path: str | Path, algorithm: str = "sha256",
+                strip_prefix: bytes | None = None) -> str:
+    """Streaming content digest, lowercase hex. With `strip_prefix` (one
+    byte), every line starting with it is dropped, line end included,
+    before hashing. Memory use is bounded by CHUNK_SIZE either way."""
     h = hashlib.new(algorithm)
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
+        chunks = iter(lambda: fh.read(CHUNK_SIZE), b"")
+        for chunk in chunks if strip_prefix is None else _strip_lines(chunks, strip_prefix):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _strip_lines(chunks: Iterable[bytes], prefix: bytes) -> Iterator[bytes]:
+    """Drop the lines starting with `prefix`. Lines end at LF, CR or CRLF,
+    as `bytes.splitlines` splits them; each chunk's unfinished last line is
+    carried into the next. A carry longer than a chunk is passed on early,
+    keeping only its first byte (which decides its fate) and its last (a CR
+    may pair with the next LF); `skip` counts kept carried bytes passed on."""
+    carry, skip = b"", 0
+    for chunk in chunks:
+        lines = (carry + chunk).splitlines(keepends=True)
+        carry = lines.pop()
+        if lines:
+            yield b"".join([line for line in lines if not line.startswith(prefix)])[skip:]
+            skip = 0
+        if len(carry) > CHUNK_SIZE:
+            if not carry.startswith(prefix):
+                yield carry[skip:-1]
+                skip = 1
+            carry = carry[:1] + carry[-1:]
+    if not carry.startswith(prefix):
+        yield carry[skip:]
 
 
 @dataclass(frozen=True)

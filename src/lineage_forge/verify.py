@@ -11,13 +11,12 @@ diffed without touching recipes.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, FileMissing
 from .parser import DIGEST_LENGTHS, _HEX_RE
+from .state import file_digest
 
 FILTER_NONE = "none"
 FILTER_STRIP = "strip-comments"
@@ -31,8 +30,9 @@ class Filter:
     def __post_init__(self) -> None:
         if self.kind not in (FILTER_NONE, FILTER_STRIP):
             raise ValueError(f"unknown filter kind {self.kind!r}")
-        if len(self.prefix) != 1 or ord(self.prefix) > 127:
-            raise ValueError("filter prefix must be a single ASCII character")
+        # A prefix outside 0x21-0x7e could not be written back to verify.conf.
+        if len(self.prefix) != 1 or not "!" <= self.prefix <= "~":
+            raise ValueError("filter prefix must be one printable non-space ASCII character")
 
     @classmethod
     def parse(cls, text: str) -> "Filter":
@@ -87,49 +87,28 @@ class VerificationReport:
 
 
 def filtered_digest(path: str | Path, filt: Filter, algorithm: str) -> str:
-    """Digest of the file after applying the metadata filter.
-
-    strip-comments drops every line whose first byte is the prefix
-    character (raw byte comparison, no whitespace skipping), so the
-    result is deterministic for arbitrary content.
-    """
-    path = Path(path)
-    if not path.is_file():
+    """Digest of the file after applying the metadata filter: strip-comments
+    drops every line whose first byte is the prefix character (raw byte
+    comparison, no whitespace skipping)."""
+    if not Path(path).is_file():
         raise FileMissing(str(path))
-    h = hashlib.new(algorithm)
-    if filt.kind == FILTER_NONE:
-        with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 16), b""):
-                h.update(chunk)
-        return h.hexdigest()
-    prefix = filt.prefix.encode("ascii")
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for line in data.splitlines(keepends=True):
-        if line[:1] == prefix:
-            continue
-        h.update(line)
-    return h.hexdigest()
+    prefix = None if filt.kind == FILTER_NONE else filt.prefix.encode("ascii")
+    return file_digest(path, algorithm, prefix)
 
 
 def verify_entry(entry: VerificationEntry, build_dir: str | Path) -> EntryResult:
-    full = Path(build_dir) / entry.path
-    if not full.is_file():
+    try:
+        actual = filtered_digest(Path(build_dir) / entry.path, entry.filter, entry.algorithm)
+    except FileMissing:
         return EntryResult(entry.path, "missing")
-    actual = filtered_digest(full, entry.filter, entry.algorithm)
-    if actual == entry.expected.lower():
-        return EntryResult(entry.path, "ok", actual)
-    return EntryResult(entry.path, "mismatch", actual)
+    status = "ok" if actual == entry.expected.lower() else "mismatch"
+    return EntryResult(entry.path, status, actual)
 
 
 def verify_all(entries: list[VerificationEntry], build_dir: str | Path) -> VerificationReport:
     """Check every entry, with no short-circuit, so the report names every
     failing file. Order of the report follows the entry list."""
-    if len(entries) <= 1:
-        return VerificationReport([verify_entry(e, build_dir) for e in entries])
-    with cf.ThreadPoolExecutor(max_workers=min(8, len(entries))) as pool:
-        results = list(pool.map(lambda e: verify_entry(e, build_dir), entries))
-    return VerificationReport(results)
+    return VerificationReport([verify_entry(e, build_dir) for e in entries])
 
 
 def record_manifest(

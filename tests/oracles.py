@@ -7,6 +7,7 @@ engine's implementations.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -160,3 +161,17 @@ def brute_force_stale_digest(
 
     closure = brute_force_ancestor_closure(goal, deps)
     return {t for t in closure if t in built and stale(t)}
+
+
+def whole_file_filtered_digest(data: bytes, prefix: bytes | None, algorithm: str) -> str:
+    """The metadata-filtered digest computed on the whole content at once:
+    split into lines (LF, CR or CRLF) and drop every line whose first byte
+    is `prefix` before hashing; with no prefix, hash the bytes as they are."""
+    h = hashlib.new(algorithm)
+    if prefix is None:
+        h.update(data)
+    else:
+        for line in data.splitlines(keepends=True):
+            if line[:1] != prefix:
+                h.update(line)
+    return h.hexdigest()

@@ -164,6 +164,16 @@ class TestVerifyCommand:
         assert any(line.startswith("report.txt\t") for line in manifest.splitlines())
         assert run_cli(demo_project, "verify").returncode == 0
 
+    def test_record_rejects_prefix_the_manifest_cannot_hold(self, demo_project):
+        run_cli(demo_project, "make")
+        manifest = demo_project / "reproduce/analysis/config/verify.conf"
+        before = manifest.read_bytes()
+        proc = run_cli(demo_project, "verify", "--record", "--filter", "strip-comments:\t",
+                       "report.txt")
+        assert proc.returncode == 64
+        assert manifest.read_bytes() == before
+        assert run_cli(demo_project, "verify").returncode == 0
+
 
 class TestCleanAndDemo:
     def test_clean_removes_built_keeps_inputs(self, demo_project):

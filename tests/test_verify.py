@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lineage_forge import state
 from lineage_forge.errors import FileMissing
 from lineage_forge.verify import (
     Filter,
@@ -17,6 +21,7 @@ from lineage_forge.verify import (
     serialize_manifest,
     verify_all,
 )
+from oracles import whole_file_filtered_digest
 
 # Frozen via an independent pipeline:
 #   printf 'a\n#b\nc\n' | grep -v '^#' | sha256sum
@@ -96,6 +101,39 @@ class TestFilteredDigest:
             assert filtered_digest(plain, STRIP, "sha256") == filtered_digest(
                 salted, STRIP, "sha256"
             )
+
+
+class TestStreamingDigest:
+    """The chunked filter must hash exactly what the whole-file oracle does,
+    at every chunk size, and in memory bounded by the chunk size."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, state.CHUNK_SIZE])
+    @given(data=st.lists(st.sampled_from([b"\r", b"\n", b"#", b"%", b"a", b"\xe9", b"\xff"]),
+                         max_size=60).map(b"".join))
+    @example(data=b"#x\r\nkeep\r\n#" + b"y" * 20 + b"\r\nz")  # CRLF and lines past a chunk
+    @settings(max_examples=150, deadline=None)
+    def test_matches_whole_file_oracle(self, chunk_size, data):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(state, "CHUNK_SIZE", chunk_size):
+            path = Path(tmp) / "f.txt"
+            path.write_bytes(data)
+            for filt in (STRIP, NONE, Filter("strip-comments", "%")):
+                prefix = None if filt == NONE else filt.prefix.encode("ascii")
+                assert filtered_digest(path, filt, "sha256") == whole_file_filtered_digest(
+                    data, prefix, "sha256")
+
+    @pytest.mark.parametrize("line", [b"# stamp\n0123456789 abcdef\n", b"x"],
+                             ids=["short-lines", "one-line-without-end"])
+    def test_memory_stays_flat(self, tmp_path, line):
+        path = tmp_path / "big.txt"
+        path.write_bytes(line * ((4 << 20) // len(line) + 1))
+        tracemalloc.start()
+        try:
+            filtered_digest(path, STRIP, "sha256")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def entry_for(build_dir: Path, rel: str, filt: Filter = NONE,
@@ -233,3 +271,20 @@ class TestManifestFormat:
     def test_bad_digest_length_rejected(self):
         with pytest.raises(ValueError):
             VerificationEntry("a.txt", "sha256", "abc", NONE)
+
+    @pytest.mark.parametrize("prefix", ["\t", "\n", "\x0b", " ", "\x7f", "\xe9", "", "##"])
+    def test_unwritable_prefix_rejected(self, prefix):
+        with pytest.raises(ValueError):
+            Filter("strip-comments", prefix)
+        with pytest.raises(ValueError):
+            Filter.parse("strip-comments:" + prefix)
+
+    @pytest.mark.parametrize("prefix", [chr(c) for c in range(0x21, 0x7F)])
+    def test_every_allowed_prefix_survives_record_and_parse(self, tmp_path, prefix):
+        (tmp_path / "out.txt").write_bytes(prefix.encode("ascii") + b" stamp\n data\n")
+        filt = Filter("strip-comments", prefix)
+        text = record_manifest(["out.txt"], filt, "sha256", tmp_path)
+        [entry] = parse_manifest(text)
+        assert entry.filter == filt
+        assert entry.expected == hashlib.sha256(b" data\n").hexdigest()
+        assert verify_all([entry], tmp_path).ok
