@@ -11,6 +11,8 @@ strictly from an EnvPolicy; nothing leaks in from the host.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import errno
+import heapq
 import os
 import subprocess
 import time
@@ -23,7 +25,6 @@ from .errors import (
     RecipeFailed,
     ShellNotFound,
     TargetNotProduced,
-    UnknownGoal,
 )
 from .graph import BUILT, SOURCE, LineageGraph, Rule, ancestors
 from .state import BuildState, TargetRecord, file_digest
@@ -121,10 +122,19 @@ def run_recipe(rule: Rule, env: EnvPolicy) -> tuple[int, str]:
     return 0, "".join(chunks)
 
 
+# Errors for which `Path.exists()` reports a path as absent.
+_ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
+
+
 def _mtime(path: Path) -> int | None:
+    """Modification time in ns, or None where `Path.exists()` is False."""
     try:
-        return path.stat().st_mtime_ns
-    except FileNotFoundError:
+        return os.stat(path).st_mtime_ns
+    except OSError as exc:
+        if exc.errno in _ABSENT_ERRNOS:
+            return None
+        raise
+    except ValueError:  # e.g. an embedded NUL byte
         return None
 
 
@@ -137,61 +147,49 @@ def stale_set(
 ) -> set[str]:
     """Built nodes in the goal's closure that need rebuilding.
 
-    Raises MissingSource for any source file in the closure that does not
-    exist on disk.
+    Each node of the closure is stat'd once. Raises MissingSource for any
+    source file in the closure that does not exist on disk.
     """
-    if goal not in graph.nodes:
-        raise UnknownGoal(goal)
     root = Path(root)
     closure = ancestors(graph, goal)
+    order = [n for n in graph.order if n in closure]
+    mtime = {n: _mtime(root / n) for n in order}  # None: missing
 
-    for node in sorted(closure):
-        if graph.nodes[node] == SOURCE and not (root / node).exists():
-            raise MissingSource(node)
+    missing = [n for n in order if mtime[n] is None and graph.nodes[n] == SOURCE]
+    if missing:
+        raise MissingSource(min(missing))
 
-    digest_cache: dict[str, str] = {}
+    digests: dict[str, str] = {}
 
-    def current_digest(path: str) -> str:
-        if path not in digest_cache:
-            digest_cache[path] = file_digest(root / path)
-        return digest_cache[path]
+    def digest_changed(rule: Rule) -> bool:
+        rec = state.get(rule.target)
+        if rec is None or len(rec.prereq_digests) != len(rule.prerequisites):
+            return True
+        for prereq, recorded in zip(rule.prerequisites, rec.prereq_digests):
+            if prereq not in digests:
+                digests[prereq] = file_digest(root / prereq)
+            if digests[prereq] != recorded:
+                return True
+        return False
 
-    memo: dict[str, bool] = {}
-
-    def stale(target: str) -> bool:
-        if target in memo:
-            return memo[target]
-        memo[target] = False  # acyclic graph; placeholder is never observed
-        rule = graph.rules[target]
-        tpath = root / target
-        result = False
-        if not tpath.exists():
-            result = True
-        if not result:
-            for prereq in rule.prerequisites:
-                if graph.nodes[prereq] == BUILT and stale(prereq):
-                    result = True
-                    break
-        if not result and mode == TIMESTAMP:
-            tmtime = _mtime(tpath)
-            for prereq in rule.prerequisites:
-                pmtime = _mtime(root / prereq)
-                if pmtime is not None and tmtime is not None and pmtime > tmtime:
-                    result = True
-                    break
-        if not result and mode == DIGEST:
-            rec = state.get(target)
-            if rec is None or len(rec.prereq_digests) != len(rule.prerequisites):
-                result = True
-            else:
-                for prereq, recorded in zip(rule.prerequisites, rec.prereq_digests):
-                    if current_digest(prereq) != recorded:
-                        result = True
-                        break
-        memo[target] = result
-        return result
-
-    return {t for t in closure if graph.nodes[t] == BUILT and stale(t)}
+    # Prerequisites precede their targets in `order`, so each one's
+    # staleness is settled before any target that reads it. A missing
+    # prerequisite is either a source (raised above) or stale itself,
+    # so the timestamp comparison only sees existing files.
+    stale: set[str] = set()
+    for target in order:
+        rule = graph.rules.get(target)
+        if rule is None:
+            continue
+        if (
+            mtime[target] is None
+            or not stale.isdisjoint(rule.prerequisites)
+            or (mode == TIMESTAMP
+                and any(mtime[p] > mtime[target] for p in rule.prerequisites))
+            or (mode == DIGEST and digest_changed(rule))
+        ):
+            stale.add(target)
+    return stale
 
 
 def _log_path(build_dir: Path, target: str) -> Path:
@@ -245,7 +243,8 @@ def execute(
                 dependents[prereq].append(target)
         pending[target] = count
 
-    ready = sorted((t for t, c in pending.items() if c == 0), reverse=True)
+    ready = [t for t, c in pending.items() if c == 0]
+    heapq.heapify(ready)  # smallest ready target is dispatched first
     failure: FailedTarget | None = None
     failure_exc: Exception | None = None
 
@@ -260,7 +259,7 @@ def execute(
 
         def submit_ready() -> None:
             while ready and len(running) < jobs and failure is None:
-                target = ready.pop()
+                target = heapq.heappop(ready)
                 running[pool.submit(work, target)] = target
 
         submit_ready()
@@ -305,11 +304,10 @@ def execute(
                 _record(state, graph.rules[target], root, tpath)
                 if on_event:
                     on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
-                for dep in sorted(dependents.get(target, ())):
+                for dep in dependents[target]:
                     pending[dep] -= 1
                     if pending[dep] == 0:
-                        ready.append(dep)
-                ready.sort(reverse=True)
+                        heapq.heappush(ready, dep)
             submit_ready()
 
     report.failed = failure

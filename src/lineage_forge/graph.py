@@ -2,8 +2,12 @@
 
 A project's lineage is an acyclic graph over file paths. Files with a
 producing rule are `built` nodes, everything else referenced as a
-prerequisite is a `source` node. All traversals break ties
-lexicographically so plans and logs are identical run-to-run.
+prerequisite is a `source` node. The rules are the only stored relation.
+`build_graph` sorts every node topologically once, breaking ties
+lexicographically, and keeps the result as `LineageGraph.order`; closures,
+plans, staleness and dependents are all read off `rules` and `order`, so
+they are identical run-to-run. No traversal recurses, so chains have no
+depth limit.
 """
 
 from __future__ import annotations
@@ -72,12 +76,21 @@ def normalize_path(path: str, origin: Origin | str = "?") -> str:
 class LineageGraph:
     """Acyclic file-dependency graph over rules and source files.
 
-    Immutable after construction; safe to read concurrently.
+    `rules` is the one stored relation; `order` lists every node in the
+    lexicographically least topological order and is computed once, in
+    `build_graph`. Everything else (edges, closures, dependents) is
+    derived from these two. Immutable after construction; safe to read
+    concurrently.
     """
 
     nodes: dict[str, str] = field(default_factory=dict)  # path -> SOURCE|BUILT
-    edges: list[tuple[str, str]] = field(default_factory=list)  # (prereq, target)
     rules: dict[str, Rule] = field(default_factory=dict)  # target -> Rule
+    order: list[str] = field(default_factory=list)  # prerequisites first
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        """(prerequisite, target) pairs, sorted and deduplicated."""
+        return sorted({(p, t) for t, rule in self.rules.items() for p in rule.prerequisites})
 
     def kind(self, path: str) -> str:
         try:
@@ -90,10 +103,6 @@ class LineageGraph:
 
     def built(self) -> list[str]:
         return sorted(p for p, k in self.nodes.items() if k == BUILT)
-
-    def outgoing(self, path: str) -> list[str]:
-        """Targets that list `path` as a prerequisite, sorted."""
-        return sorted(t for p, t in self.edges if p == path)
 
 
 def build_graph(rules: list[Rule]) -> LineageGraph:
@@ -109,46 +118,42 @@ def build_graph(rules: list[Rule]) -> LineageGraph:
             raise DuplicateTarget(rule.target, str(prior.origin), str(rule.origin))
         by_target[rule.target] = rule
 
-    nodes: dict[str, str] = {}
-    edges: list[tuple[str, str]] = []
-    for rule in rules:
-        nodes[rule.target] = BUILT
+    nodes = dict.fromkeys(by_target, BUILT)
     for rule in rules:
         for prereq in rule.prerequisites:
             nodes.setdefault(prereq, SOURCE)
-            edges.append((prereq, rule.target))
-
     nodes = dict(sorted(nodes.items()))
-    edges = sorted(set(edges))
-    graph = LineageGraph(nodes=nodes, edges=edges, rules=by_target)
-    _check_acyclic(graph)
-    return graph
 
+    # Kahn's algorithm, always emitting the smallest ready node.
+    indegree = dict.fromkeys(nodes, 0)
+    dependents: dict[str, list[str]] = {n: [] for n in nodes}
+    for target, rule in by_target.items():
+        for prereq in set(rule.prerequisites):
+            indegree[target] += 1
+            dependents[prereq].append(target)
+    ready = [n for n, d in indegree.items() if d == 0]  # sorted, so a heap
+    order: list[str] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for dep in dependents[node]:
+            indegree[dep] -= 1
+            if indegree[dep] == 0:
+                heapq.heappush(ready, dep)
 
-def _check_acyclic(graph: LineageGraph) -> None:
-    """DFS cycle check; reports the offending path as a target list."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
-    stack: list[str] = []
-
-    def visit(node: str) -> None:
-        color[node] = GREY
-        stack.append(node)
-        rule = graph.rules.get(node)
-        prereqs = rule.prerequisites if rule else ()
-        for prereq in prereqs:
-            if color[prereq] == GREY:
-                start = stack.index(prereq)
-                cycle = stack[start:] + [prereq]
-                raise CycleDetected(cycle)
-            if color[prereq] == WHITE:
-                visit(prereq)
-        stack.pop()
-        color[node] = BLACK
-
-    for node in sorted(graph.nodes):
-        if color[node] == WHITE:
-            visit(node)
+    if len(order) < len(nodes):
+        # Every left-over node waits on a left-over prerequisite, so
+        # following them from any left-over node must revisit one.
+        left = {n for n, d in indegree.items() if d > 0}
+        path = [min(left)]
+        seen = {path[0]: 0}
+        while True:
+            node = next(p for p in by_target[path[-1]].prerequisites if p in left)
+            if node in seen:
+                raise CycleDetected(path[seen[node]:] + [node])
+            seen[node] = len(path)
+            path.append(node)
+    return LineageGraph(nodes=nodes, rules=by_target, order=order)
 
 
 def ancestors(graph: LineageGraph, goal: str) -> set[str]:
@@ -173,45 +178,22 @@ def topological_order(graph: LineageGraph, goal: str) -> list[str]:
 
     Every prerequisite precedes its target; among the ready nodes the
     lexicographically smallest is emitted first, so the result is the
-    lexicographically least valid order and is fully deterministic.
+    lexicographically least valid order and is fully deterministic. It
+    is `graph.order` restricted to the closure: no node of a closure
+    waits on a node outside it.
     """
     closure = ancestors(graph, goal)
-    indegree = {n: 0 for n in closure}
-    dependents: dict[str, list[str]] = {n: [] for n in closure}
-    for node in closure:
-        rule = graph.rules.get(node)
-        if not rule:
-            continue
-        for prereq in set(rule.prerequisites):
-            indegree[node] += 1
-            dependents[prereq].append(node)
-
-    ready = [n for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for dep in dependents[node]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                heapq.heappush(ready, dep)
-    return order
+    return [n for n in graph.order if n in closure]
 
 
 def descendants(graph: LineageGraph, node: str) -> set[str]:
     """Transitive closure of targets reachable from `node`, excluding it."""
     if node not in graph.nodes:
         raise UnknownNode(node)
-    dependents: dict[str, list[str]] = {}
-    for prereq, target in graph.edges:
-        dependents.setdefault(prereq, []).append(target)
-    seen: set[str] = set()
-    todo = list(dependents.get(node, ()))
-    while todo:
-        current = todo.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        todo.extend(dependents.get(current, ()))
-    return seen
+    reached = {node}
+    for target in graph.order:  # every prerequisite is swept before its targets
+        rule = graph.rules.get(target)
+        if rule and not reached.isdisjoint(rule.prerequisites):
+            reached.add(target)
+    reached.discard(node)
+    return reached

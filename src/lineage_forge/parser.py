@@ -6,6 +6,10 @@ TAB-prefixed recipe lines, `$(NAME)` variable references and the `$@`,
 `$<`, `$^` automatic variables inside recipes. No pattern rules, no
 functions, no conditionals. Files are UTF-8 with LF line endings.
 
+`flatten_statements` walks the include tree once: it reads and globs
+each file and directive a single time, emitting statements in the order
+an include-expanding reader would meet them.
+
 Automatic variables are only live inside recipes; everywhere else they
 pass through literally, like any `$` followed by something other than
 `(` or `$` ("$HOME" stays "$HOME"). Expansion is not idempotent: "$$"
@@ -233,12 +237,17 @@ class LoadedFile:
     parsed: ParsedFile
 
 
-def resolve_includes(
+def flatten_statements(
     entry: str,
     root: str | Path,
     exclude: frozenset[str] = frozenset({VERIFY_MANIFEST}),
-) -> list[LoadedFile]:
+) -> tuple[list[LoadedFile], list[object]]:
     """Load `entry` and, depth-first and in order, everything it includes.
+
+    Returns the loaded files in load order and the statement stream in
+    effective order: statements are interleaved exactly as an
+    include-expanding reader sees them, so a `key = value` written after
+    an include line overrides the included file's value.
 
     Glob matches are sorted lexicographically. Each physical file may be
     loaded once: including it again is DuplicateInclude, including a file
@@ -250,6 +259,7 @@ def resolve_includes(
     """
     root = Path(root)
     loaded: list[LoadedFile] = []
+    statements: list[object] = []
     done: set[str] = set()
     in_progress: list[str] = []
 
@@ -278,42 +288,12 @@ def resolve_includes(
                     raise IncludeNotFound(item.pattern, str(item.origin))
                 for match in matches:
                     load(match, item.origin)
+            else:
+                statements.append(item)
         in_progress.pop()
 
     load(posixpath.normpath(entry), None)
-    return loaded
-
-
-def flatten_statements(
-    entry: str,
-    root: str | Path,
-    exclude: frozenset[str] = frozenset({VERIFY_MANIFEST}),
-) -> tuple[list[LoadedFile], list[object]]:
-    """resolve_includes plus the statement stream in effective order.
-
-    The stream interleaves statements exactly as an include-expanding
-    reader would see them, so a `key = value` written after an include
-    line overrides the included file's value.
-    """
-    files = resolve_includes(entry, root, exclude)
-    by_path = {f.path: f.parsed for f in files}
-    emitted: set[str] = set()
-
-    def walk(rel: str) -> list[object]:
-        emitted.add(rel)
-        out: list[object] = []
-        for item in by_path[rel].items:
-            if isinstance(item, IncludeDirective):
-                matches = sorted(globmod.glob(item.pattern, root_dir=root))
-                matches = [posixpath.normpath(m) for m in matches]
-                for match in matches:
-                    if match in by_path and match not in emitted:
-                        out.extend(walk(match))
-            else:
-                out.append(item)
-        return out
-
-    return files, walk(posixpath.normpath(entry))
+    return loaded, statements
 
 
 def build_env(

@@ -3,15 +3,20 @@
 One line per target: path, epoch seconds of the last successful build,
 the target's content digest, and the semicolon-joined digests of its
 prerequisites as they were at build time (in rule order). Digests are
-lowercase hex SHA-256; digest-mode staleness compares against them.
+lowercase hex SHA-256; digest-mode staleness compares against them. A
+line that does not parse (a truncated write, a hand edit) is skipped with
+a warning; that can only make its target rebuild.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
+
+log = logging.getLogger("lineage_forge.state")
 
 STATE_RELPATH = "state/build-state.tsv"
 CHUNK_SIZE = 1 << 16
@@ -79,18 +84,21 @@ class BuildState:
         state = cls()
         if not path.is_file():
             return state
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
+        for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+            if not raw.strip():
                 continue
-            target, epoch, tdigest, prereqs = (line.split("\t") + ["", "", "", ""])[:4]
-            state.put(
-                TargetRecord(
+            try:
+                target, epoch, tdigest, prereqs = raw.decode("utf-8").split("\t")
+                record = TargetRecord(
                     target=target,
                     built_at=int(epoch),
                     target_digest=tdigest,
                     prereq_digests=tuple(d for d in prereqs.split(";") if d),
                 )
-            )
+            except ValueError:
+                log.warning("%s:%d: skipping malformed build-state record", path, lineno)
+                continue
+            state.put(record)
         return state
 
     def save(self, build_dir: str | Path) -> None:

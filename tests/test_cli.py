@@ -85,6 +85,25 @@ class TestMake:
         proc = run_cli(root, "make")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("damage", ["truncate", "bad-epoch"])
+    def test_malformed_state_line_is_skipped(self, tmp_path, damage):
+        root = tiny_project(tmp_path)
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        assert run_cli(root, "make").returncode == 0
+        state_file = tmp_path / "bd" / "state" / "build-state.tsv"
+        data = state_file.read_bytes()
+        if damage == "truncate":  # a write cut off just before the epoch
+            state_file.write_bytes(data[: data.index(b"\t") + 1])
+        else:
+            target, _, rest = data.decode().split("\t", 2)
+            state_file.write_text(f"{target}\tabc\t{rest}")
+        proc = run_cli(root, "make")
+        assert proc.returncode == 0, proc.stderr
+        assert "state/build-state.tsv:1" in proc.stderr
+        proc = run_cli(root, "make", "--hash")
+        assert proc.returncode == 0, proc.stderr
+        assert "[built] .build/out.txt" in proc.stdout
+
     def test_explicit_goal(self, demo_project):
         proc = run_cli(demo_project, "make", "--goal", ".build/demo/papers-formatted.txt",
                        "--log-json")

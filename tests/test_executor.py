@@ -202,6 +202,53 @@ class TestStaleSet:
             assert stale_set(graph, goal, state, DIGEST, root) == expected
 
 
+class TestStatCount:
+    """Each closure node is stat'd once per stale_set, however many rules
+    share it: a guard against per-rule stats coming back."""
+
+    def fan_in(self, tmp_path):
+        rules = [R(f"use{i:03d}", ["shared.csv"]) for i in range(200)]
+        rules.append(R("goal", [r.target for r in rules]))
+        graph = build_graph(rules)
+        state = BuildState()
+        write(tmp_path, "shared.csv")
+        for rule in rules:
+            write(tmp_path, rule.target)
+            state.put(TargetRecord(rule.target, 1, "x", tuple(
+                file_digest(tmp_path / p) for p in rule.prerequisites)))
+        for node in graph.nodes:
+            set_mtime(tmp_path, node, 1_000_000_000_000_000_000)
+        return graph, state
+
+    @pytest.mark.parametrize("mode", [TIMESTAMP, DIGEST])
+    def test_every_closure_node_stat_once(self, tmp_path, monkeypatch, mode):
+        graph, state = self.fan_in(tmp_path)
+        calls: list[str] = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            calls.append(os.path.relpath(path, tmp_path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        assert stale_set(graph, "goal", state, mode, tmp_path) == set()
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(ancestors(graph, "goal"))
+
+
+class TestDeepChain:
+    def test_5000_rule_chain_stale_set_and_noop_execute(self, tmp_path):
+        names = [f"n{i:05d}" for i in range(5001)]  # the goal sorts first
+        graph = build_graph([R(names[i], [names[i + 1]]) for i in range(5000)])
+        for node in graph.nodes:
+            write(tmp_path, node)
+            set_mtime(tmp_path, node, 1_000_000_000_000_000_000)
+        assert stale_set(graph, "n00000", BuildState(), TIMESTAMP, tmp_path) == set()
+        report = execute(graph, "n00000", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        assert report.executed == []
+        assert len(report.skipped_fresh) == 5000
+
+
 class TestExecute:
     def diamond(self, tmp_path):
         rules = [

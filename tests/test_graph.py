@@ -256,5 +256,27 @@ class TestProperties:
         back = R(victim.prerequisites[0], [victim.target], line=99)
         if any(r.target == back.target for r in rules):
             rules = [r for r in rules if r.target != back.target]
-        with pytest.raises(CycleDetected):
-            build_graph(rules + [back])
+        rules = rules + [back]
+        with pytest.raises(CycleDetected) as exc:
+            build_graph(rules)
+        # The reported path is a real cycle, prerequisite by prerequisite.
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1]
+        deps = deps_of(rules)
+        for a, b in zip(cycle, cycle[1:]):
+            assert b in deps[a]
+
+
+class TestDeepGraphs:
+    def test_deep_chain_has_no_depth_limit(self):
+        names = [f"n{i:05d}" for i in range(5001)]  # the goal sorts first
+        graph = build_graph([R(names[i], [names[i + 1]]) for i in range(5000)])
+        assert topological_order(graph, names[0]) == names[::-1]
+        assert descendants(graph, names[-1]) == set(names[:-1])
+
+    def test_deep_cycle_reported_whole(self):
+        names = [f"c{i:05d}" for i in range(5000)]
+        rules = [R(names[i], [names[(i + 1) % 5000]]) for i in range(5000)]
+        with pytest.raises(CycleDetected) as exc:
+            build_graph(rules)
+        assert exc.value.cycle == names + [names[0]]

@@ -34,7 +34,6 @@ from lineage_forge.parser import (
     parse_config,
     parse_inputs_manifest,
     parse_workflow,
-    resolve_includes,
     serialize_config,
 )
 
@@ -157,39 +156,39 @@ class TestResolveIncludes:
         self.write(tmp_path, "top.wf", "".join(l + "\n" for l in entry_lines))
         for name in order:
             self.write(tmp_path, f"stages/{name}.wf", f"{name}.out:\n\ttouch $@\n")
-        files = resolve_includes("top.wf", tmp_path)
+        files = flatten_statements("top.wf", tmp_path)[0]
         assert [f.path for f in files] == ["top.wf"] + [f"stages/{n}.wf" for n in order]
 
     def test_entry_without_includes(self, tmp_path):
         self.write(tmp_path, "top.wf", "x:\n\ttouch $@\n")
-        files = resolve_includes("top.wf", tmp_path)
+        files = flatten_statements("top.wf", tmp_path)[0]
         assert [f.path for f in files] == ["top.wf"]
 
     def test_include_cycle(self, tmp_path):
         self.write(tmp_path, "a.wf", "include b.wf\n")
         self.write(tmp_path, "b.wf", "include a.wf\n")
         with pytest.raises(IncludeCycle):
-            resolve_includes("a.wf", tmp_path)
+            flatten_statements("a.wf", tmp_path)
 
     def test_second_include_is_error_not_noop(self, tmp_path):
         self.write(tmp_path, "top.wf", "include sub.wf\ninclude sub.wf\n")
         self.write(tmp_path, "sub.wf", "x:\n\ttouch $@\n")
         with pytest.raises(DuplicateInclude):
-            resolve_includes("top.wf", tmp_path)
+            flatten_statements("top.wf", tmp_path)
 
     def test_zero_matches_is_error_unless_optional(self, tmp_path):
         self.write(tmp_path, "top.wf", "include missing/*.conf\n")
         with pytest.raises(IncludeNotFound):
-            resolve_includes("top.wf", tmp_path)
+            flatten_statements("top.wf", tmp_path)
         self.write(tmp_path, "top2.wf", "include missing/*.conf?\n")
-        files = resolve_includes("top2.wf", tmp_path)
+        files = flatten_statements("top2.wf", tmp_path)[0]
         assert [f.path for f in files] == ["top2.wf"]
 
     def test_glob_matches_sorted(self, tmp_path):
         self.write(tmp_path, "top.wf", "include conf/*.conf\n")
         self.write(tmp_path, "conf/zz.conf", "Z = 1\n")
         self.write(tmp_path, "conf/aa.conf", "A = 1\n")
-        files = resolve_includes("top.wf", tmp_path)
+        files = flatten_statements("top.wf", tmp_path)[0]
         assert [f.path for f in files] == ["top.wf", "conf/aa.conf", "conf/zz.conf"]
 
     def test_verify_manifest_excluded_from_globs(self, tmp_path):
@@ -198,7 +197,7 @@ class TestResolveIncludes:
         self.write(tmp_path, "reproduce/analysis/config/a.conf", "A = 1\n")
         self.write(tmp_path, "reproduce/analysis/config/verify.conf",
                    "path\tsha256\tdeadbeef\tnone\n")
-        files = resolve_includes("reproduce/analysis/make/top.wf", tmp_path)
+        files = flatten_statements("reproduce/analysis/make/top.wf", tmp_path)[0]
         assert [f.path for f in files] == [
             "reproduce/analysis/make/top.wf",
             "reproduce/analysis/config/a.conf",
@@ -208,8 +207,8 @@ class TestResolveIncludes:
         self.write(tmp_path, "top.wf", "include conf/*.conf\nx: y\n\ttouch $@\n")
         self.write(tmp_path, "conf/a.conf", "A = 1\n")
         self.write(tmp_path, "conf/b.conf", "B = 2\n")
-        first = [(f.path, f.parsed.items) for f in resolve_includes("top.wf", tmp_path)]
-        second = [(f.path, f.parsed.items) for f in resolve_includes("top.wf", tmp_path)]
+        first = [(f.path, f.parsed.items) for f in flatten_statements("top.wf", tmp_path)[0]]
+        second = [(f.path, f.parsed.items) for f in flatten_statements("top.wf", tmp_path)[0]]
         assert first == second
 
 
