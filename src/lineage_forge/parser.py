@@ -6,9 +6,11 @@ TAB-prefixed recipe lines, `$(NAME)` variable references and the `$@`,
 `$<`, `$^` automatic variables inside recipes. No pattern rules, no
 functions, no conditionals. Files are UTF-8 with LF line endings.
 
-`flatten_statements` walks the include tree once: it reads and globs
-each file and directive a single time, emitting statements in the order
-an include-expanding reader would meet them.
+`flatten_statements` walks the include tree once, on its own stack, so
+includes nest without a depth limit: it reads and globs each file and
+directive a single time, emitting statements in the order an
+include-expanding reader would meet them. `expand` substitutes a
+template in one regex pass.
 
 Automatic variables are only live inside recipes; everywhere else they
 pass through literally, like any `$` followed by something other than
@@ -46,6 +48,8 @@ log = logging.getLogger("lineage_forge.parser")
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 ASSIGNMENT_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_-]*)\s*=(.*)$")
+# `$$`, `$(NAME)`, an unclosed `$(`, or `$@` `$<` `$^`; any other `$` is literal.
+REFERENCE_RE = re.compile(r"\$(?:(\$)|\(([^)]*)\)|(\()|([@<^]))")
 
 MAX_EXPANSION_DEPTH = 16
 
@@ -261,7 +265,9 @@ def flatten_statements(
     loaded: list[LoadedFile] = []
     statements: list[object] = []
     done: set[str] = set()
+    # Per file being expanded, its items still to go, next one last.
     in_progress: list[str] = []
+    pending: list[list[object]] = []
 
     def load(rel: str, via: Origin | None) -> None:
         if rel in in_progress:
@@ -279,20 +285,27 @@ def flatten_statements(
         in_progress.append(rel)
         done.add(rel)
         loaded.append(LoadedFile(rel, parsed))
-        for item in parsed.items:
-            if isinstance(item, IncludeDirective):
-                matches = sorted(globmod.glob(item.pattern, root_dir=root))
-                matches = [posixpath.normpath(m) for m in matches]
-                matches = [m for m in matches if m not in exclude]
-                if not matches and not item.optional:
-                    raise IncludeNotFound(item.pattern, str(item.origin))
-                for match in matches:
-                    load(match, item.origin)
-            else:
-                statements.append(item)
-        in_progress.pop()
+        pending.append(parsed.items[::-1])
 
     load(posixpath.normpath(entry), None)
+    while pending:
+        items = pending[-1]
+        if not items:
+            pending.pop()
+            in_progress.pop()
+            continue
+        item = items.pop()
+        if isinstance(item, IncludeDirective):
+            matches = sorted(globmod.glob(item.pattern, root_dir=root))
+            matches = [posixpath.normpath(m) for m in matches]
+            matches = [m for m in matches if m not in exclude]
+            if not matches and not item.optional:
+                raise IncludeNotFound(item.pattern, str(item.origin))
+            items.extend((match, item.origin) for match in reversed(matches))
+        elif isinstance(item, tuple):
+            load(*item)
+        else:
+            statements.append(item)
     return loaded, statements
 
 
@@ -323,47 +336,28 @@ def expand(
     """
     if _depth > MAX_EXPANSION_DEPTH:
         raise ExpansionDepthExceeded(template, MAX_EXPANSION_DEPTH)
+    if "$" not in template:
+        return template
 
-    out: list[str] = []
-    i = 0
-    n = len(template)
-    while i < n:
-        ch = template[i]
-        if ch != "$":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= n:
-            out.append("$")
-            break
-        nxt = template[i + 1]
-        if nxt == "$":
-            out.append("$")
-            i += 2
-        elif nxt == "(":
-            end = template.find(")", i + 2)
-            if end == -1:
-                raise UndefinedVariable(template[i:], origin)
-            name = template[i + 2:end]
-            if not IDENT_RE.fullmatch(name):
-                raise UndefinedVariable(name, origin)
-            if name not in env:
-                raise UndefinedVariable(name, origin)
-            out.append(expand(env[name], env, rule_ctx, origin, _depth + 1))
-            i = end + 1
-        elif nxt in "@<^" and rule_ctx is not None:
-            if nxt == "@":
-                out.append(rule_ctx.target)
-            elif nxt == "<":
-                out.append(rule_ctx.prerequisites[0] if rule_ctx.prerequisites else "")
-            else:
-                out.append(" ".join(rule_ctx.prerequisites))
-            i += 2
-        else:
-            # Unrecognized escape: pass the '$' through literally.
-            out.append("$")
-            i += 1
-    return "".join(out)
+    def substitute(match: re.Match) -> str:
+        dollar, name, unclosed, automatic = match.groups()
+        if dollar:
+            return "$"
+        if unclosed:
+            raise UndefinedVariable(template[match.start():], origin)
+        if automatic:
+            if rule_ctx is None:
+                return match.group()
+            if automatic == "@":
+                return rule_ctx.target
+            if automatic == "<":
+                return rule_ctx.prerequisites[0] if rule_ctx.prerequisites else ""
+            return " ".join(rule_ctx.prerequisites)
+        if not IDENT_RE.fullmatch(name) or name not in env:
+            raise UndefinedVariable(name, origin)
+        return expand(env[name], env, rule_ctx, origin, _depth + 1)
+
+    return REFERENCE_RE.sub(substitute, template)
 
 
 def instantiate_rules(

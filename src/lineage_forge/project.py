@@ -51,7 +51,7 @@ from .provenance import (
     machine_info,
 )
 from .software import TARGETS_RELPATH, parse_targets, verify_tarballs, version_macros
-from .state import BuildState
+from .state import STATE_RELPATH, BuildState
 from .verify import (
     Filter,
     VerificationEntry,
@@ -97,12 +97,15 @@ class LocalConfig:
                                                        LOCAL_CONFIG)}
         if "build-dir" not in values:
             raise LineageError(f"{LOCAL_CONFIG} does not record build-dir")
+        jobs = values.get("jobs", "1")
+        if not (jobs.isascii() and jobs.isdigit() and int(jobs) > 0):
+            raise LineageError(f"{LOCAL_CONFIG}: jobs must be a positive integer, got {jobs!r}")
         return cls(
             build_dir=values["build-dir"],
             input_dir=values.get("input-dir") or None,
             software_dir=values.get("software-dir") or None,
             group=values.get("group") or None,
-            jobs=int(values.get("jobs", "1")),
+            jobs=int(jobs),
             tool_path=values.get("path", os.defpath),
             proxy=values.get("proxy") or None,
         )
@@ -221,6 +224,9 @@ def configure(
 ) -> LocalConfig:
     """Record local directories, create the build tree and the `.build`
     symlink, and verify the pinned software manifest. Idempotent."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    group_gid = _group_gid(group)
     root = Path(root)
     build_path = Path(build_dir).expanduser()
     if not build_path.is_absolute():
@@ -248,9 +254,7 @@ def configure(
     else:
         link.symlink_to(build_path)
 
-    group_gid: int | None = None
-    if group:
-        group_gid = grp.getgrnam(group).gr_gid
+    if group_gid is not None:
         for directory in [build_path, *(build_path / s for s in BUILD_SUBDIRS)]:
             try:
                 os.chown(directory, -1, group_gid)
@@ -291,6 +295,15 @@ def configure(
                 raise LineageError(f"software tarballs missing (strict mode): {names}")
             log.warning("software tarballs not present locally: %s", names)
     return config
+
+
+def _group_gid(group: str | None) -> int | None:
+    if not group:
+        return None
+    try:
+        return grp.getgrnam(group).gr_gid
+    except KeyError:
+        raise LineageError(f"unknown group {group!r}") from None
 
 
 def _ensure_ignored(root: Path, entries: list[str]) -> None:
@@ -352,6 +365,7 @@ def run_make(
     all deliverables, then aggregate the narrative macros."""
     root = Path(root)
     config = LocalConfig.load(root)
+    group_gid = _group_gid(config.group)
     build_dir = Path(config.build_dir)
     project = Project.load(root)
     project.macro_targets_declared()
@@ -378,7 +392,6 @@ def run_make(
             for name in sorted(resolved):
                 on_event({"event": "input", "name": name, "path": str(resolved[name])})
 
-    group_gid = grp.getgrnam(config.group).gr_gid if config.group else None
     env_policy = EnvPolicy.hermetic(build_dir, config.tool_path, root)
     n_jobs = jobs if jobs is not None else config.jobs
 
@@ -483,15 +496,9 @@ def run_verify(root: str | Path, on_event: EventCallback | None = None) -> Verif
     """Standalone verification against the pinned manifest."""
     root = Path(root)
     config = LocalConfig.load(root)
-    manifest = root / VERIFY_MANIFEST
-    if not manifest.is_file():
+    if not (root / VERIFY_MANIFEST).is_file():
         raise LineageError(f"no verification manifest at {VERIFY_MANIFEST}")
-    entries = parse_manifest(manifest.read_text(encoding="utf-8"), VERIFY_MANIFEST)
-    report = verify_all(entries, Path(config.build_dir))
-    if on_event:
-        for result in report.results:
-            on_event({"event": "verify", "path": result.path, "status": result.status})
-    return report
+    return _verify_stage(root, Path(config.build_dir), on_event)
 
 
 def run_record(
@@ -548,9 +555,7 @@ def clean(root: str | Path) -> list[str]:
     if aggregate.exists():
         aggregate.unlink()
         removed.append(str(aggregate))
-    state_file = build_dir / "state" / "build-state.tsv"
-    if state_file.exists():
-        state_file.unlink()
+    (build_dir / STATE_RELPATH).unlink(missing_ok=True)
     logs = build_dir / "logs"
     if logs.is_dir():
         shutil.rmtree(logs)

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 from pathlib import Path
+
+from lineage_forge.errors import ExpansionDepthExceeded, UndefinedVariable
+from lineage_forge.graph import Rule
+
+IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+MAX_EXPANSION_DEPTH = 16
 
 
 def brute_force_topo_permutations(nodes: list[str], deps: dict[str, list[str]]) -> list[str]:
@@ -175,3 +182,61 @@ def whole_file_filtered_digest(data: bytes, prefix: bytes | None, algorithm: str
             if line[:1] != prefix:
                 h.update(line)
     return h.hexdigest()
+
+
+def reference_expand(
+    template: str,
+    env: dict[str, str],
+    rule_ctx: Rule | None = None,
+    origin: str = "?",
+    _depth: int = 0,
+) -> str:
+    """Expand `$(NAME)`, `$$` and (inside recipes) `$@`, `$<`, `$^`.
+
+    Variable values are themselves expanded, up to 16 levels deep. This
+    is the engine's original expander, one character at a time, kept as
+    the reference `parser.expand` must agree with, errors included.
+    """
+    if _depth > MAX_EXPANSION_DEPTH:
+        raise ExpansionDepthExceeded(template, MAX_EXPANSION_DEPTH)
+
+    out: list[str] = []
+    i = 0
+    n = len(template)
+    while i < n:
+        ch = template[i]
+        if ch != "$":
+            out.append(ch)
+            i += 1
+            continue
+        if i + 1 >= n:
+            out.append("$")
+            break
+        nxt = template[i + 1]
+        if nxt == "$":
+            out.append("$")
+            i += 2
+        elif nxt == "(":
+            end = template.find(")", i + 2)
+            if end == -1:
+                raise UndefinedVariable(template[i:], origin)
+            name = template[i + 2:end]
+            if not IDENT_RE.fullmatch(name):
+                raise UndefinedVariable(name, origin)
+            if name not in env:
+                raise UndefinedVariable(name, origin)
+            out.append(reference_expand(env[name], env, rule_ctx, origin, _depth + 1))
+            i = end + 1
+        elif nxt in "@<^" and rule_ctx is not None:
+            if nxt == "@":
+                out.append(rule_ctx.target)
+            elif nxt == "<":
+                out.append(rule_ctx.prerequisites[0] if rule_ctx.prerequisites else "")
+            else:
+                out.append(" ".join(rule_ctx.prerequisites))
+            i += 2
+        else:
+            # Unrecognized escape: pass the '$' through literally.
+            out.append("$")
+            i += 1
+    return "".join(out)

@@ -1,7 +1,9 @@
 """The benchmark's traced mode wraps engine functions by name; every name
-it wraps must still resolve, or `perfbench/run.py --trace 1` breaks. The
-benchmark's own tests (generator, oracle, tracer) run here too, so an
-engine change that breaks them fails this suite."""
+it wraps must still resolve, or `perfbench/run.py --trace 1` breaks, and
+the engine must still call each one through the wrapped name, or its
+layer silently records nothing. The benchmark's own tests (generator,
+oracle, tracer) run here too, so an engine change that breaks them fails
+this suite."""
 
 from __future__ import annotations
 
@@ -14,11 +16,16 @@ from pathlib import Path
 
 import pytest
 
+from conftest import init_repo
+from lineage_forge import project
+from lineage_forge.demo import create_demo_project
+from lineage_forge.executor import DIGEST
+
 REPO = Path(__file__).resolve().parents[1]
 TRACING = REPO / "perfbench" / "tracing.py"
 
 
-def load_wraps() -> tuple:
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
@@ -26,10 +33,11 @@ def load_wraps() -> tuple:
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.WRAPS
+    return module
 
 
-WRAPPED = [(module_name, attr) for module_name, attr, *_ in load_wraps()]
+TRACING_MODULE = load_tracing()
+WRAPPED = [(module_name, attr) for module_name, attr, *_ in TRACING_MODULE.WRAPS]
 
 
 @pytest.mark.parametrize("module_name, attr", WRAPPED, ids=[f"{m}:{a}" for m, a in WRAPPED])
@@ -38,6 +46,23 @@ def test_wrapped_name_resolves(module_name, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_every_wrapped_span_fires(tmp_path):
+    root = tmp_path / "proj"
+    create_demo_project(root)
+    init_repo(root)
+    tracer = TRACING_MODULE.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("configure")
+        project.configure(root, tmp_path / "build", input_dir="data")
+        tracer.begin_op("make")
+        project.run_make(root, mode=DIGEST, offline=True)
+    finally:
+        tracer.uninstall()
+    recorded = {span.name for span in tracer.spans}
+    assert sorted({name for _, _, name, _ in TRACING_MODULE.WRAPS} - recorded) == []
 
 
 def test_perfbench_own_tests_pass():

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import run_cli
 
+NO_SUCH_GROUP = "lineage-forge-no-such-group"
+
 
 def tiny_project(tmp_path: Path, recipe: str = "cp src.txt $@") -> Path:
     """Minimal project with one rule, defined straight in the entry file."""
@@ -62,6 +64,23 @@ class TestConfigure:
         proc = run_cli(root, "configure")
         assert proc.returncode == 64
 
+    def test_unknown_group_fails_before_creating_anything(self, tmp_path):
+        root = tiny_project(tmp_path)
+        build = tmp_path / "bd"
+        proc = run_cli(root, "configure", "--build-dir", str(build), "--group", NO_SUCH_GROUP)
+        assert proc.returncode == 1
+        assert NO_SUCH_GROUP in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (root / ".build").is_symlink()
+        assert not build.exists()
+        assert not (root / ".local-config").exists()
+
+    def test_zero_jobs_is_usage_error_and_not_recorded(self, tmp_path):
+        root = tiny_project(tmp_path)
+        proc = run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"), "--jobs", "0")
+        assert proc.returncode == 64
+        assert not (root / ".local-config").exists()
+
 
 class TestMake:
     def test_happy_path_builds_goal(self, tmp_path):
@@ -78,6 +97,27 @@ class TestMake:
         proc = run_cli(root, "make")
         assert proc.returncode == 1
         assert "configure" in proc.stderr
+
+    @pytest.mark.parametrize("jobs", ["two", "0"])
+    def test_malformed_jobs_in_local_config_exit_1(self, tmp_path, jobs):
+        root = tiny_project(tmp_path)
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        config = root / ".local-config"
+        lines = [l for l in config.read_text().splitlines() if not l.startswith("jobs")]
+        config.write_text("\n".join(lines + [f"jobs = {jobs}"]) + "\n")
+        proc = run_cli(root, "make")
+        assert proc.returncode == 1
+        assert ".local-config" in proc.stderr and repr(jobs) in proc.stderr
+
+    def test_recorded_group_since_deleted_exit_1(self, tmp_path):
+        root = tiny_project(tmp_path)
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        with open(root / ".local-config", "a") as fh:
+            fh.write(f"group = {NO_SUCH_GROUP}\n")
+        proc = run_cli(root, "make")
+        assert proc.returncode == 1
+        assert NO_SUCH_GROUP in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_recipe_failure_exit_2(self, tmp_path):
         root = tiny_project(tmp_path, recipe="exit 3")
@@ -157,6 +197,21 @@ class TestGraph:
     def test_works_without_configure(self, demo_project_unconfigured):
         proc = run_cli(demo_project_unconfigured, "graph", "--format", "json")
         assert proc.returncode == 0
+
+    def test_deep_include_chain(self, tmp_path):
+        # top.wf starts a chain of 1,100 nested includes, each adding a rule.
+        root = tmp_path / "deep"
+        (root / "reproduce/analysis/make").mkdir(parents=True)
+        (root / "chain").mkdir()
+        (root / "reproduce/analysis/make/top.wf").write_text("include chain/c0.wf\n")
+        for i in range(1100):
+            text = f"$(BDIR)/t{i}: src.txt\n\ttouch $@\n"
+            if i + 1 < 1100:
+                text += f"include chain/c{i + 1}.wf\n"
+            (root / "chain" / f"c{i}.wf").write_text(text)
+        proc = run_cli(root, "graph", "--format", "json")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert len(json.loads(proc.stdout)["rules"]) == 1100
 
 
 class TestVerifyCommand:

@@ -17,6 +17,7 @@ from lineage_forge.errors import (
     IncludeCycle,
     IncludeNotFound,
     InputError,
+    LineageError,
     MalformedDigest,
     MissingDigest,
     MissingFilename,
@@ -36,6 +37,7 @@ from lineage_forge.parser import (
     parse_workflow,
     serialize_config,
 )
+from oracles import reference_expand
 
 
 class TestParseConfig:
@@ -216,6 +218,16 @@ def make_rule(target="t", prereqs=("a", "b")) -> Rule:
     return Rule(target, tuple(prereqs), (), Origin("f.wf", 1))
 
 
+# Templates weighted toward the characters expansion reacts to; values
+# drawn from the same pieces reference each other, cycles included.
+EXPAND_NAMES = ["A", "B", "C", "1x", "a-b"]
+EXPAND_TEMPLATES = st.lists(
+    st.sampled_from(["$", "$", "$", "(", "(", ")", ")", "@", "<", "^", "$(A)", "$(B)",
+                     "$(C)", "$(1x)", "$(a-b)", "$$", "a", " ", "-", "x"]),
+    max_size=12,
+).map("".join)
+
+
 class TestExpand:
     def test_config_reference(self):
         assert expand("year=$(demo-year)", {"demo-year": "1996"}) == "year=1996"
@@ -273,6 +285,34 @@ class TestExpand:
         # "$" as "$$" makes any text come out of one expansion unchanged.
         assert expand("$(V)", {"V": value.replace("$", "$$")}) == value
 
+    @pytest.mark.parametrize("fn", [expand, reference_expand], ids=["expand", "reference"])
+    @pytest.mark.parametrize("links, ok", [(15, True), (16, False), (17, False)])
+    def test_depth_limit_on_a_chain_ending_without_dollar(self, fn, links, ok):
+        # V0 -> V1 -> ... -> V<links> = "x": the last value sits at depth
+        # links + 1 and holds no "$", so the depth check alone must fire.
+        env = {f"V{i}": f"$(V{i + 1})" for i in range(links)}
+        env[f"V{links}"] = "x"
+        if ok:
+            assert fn("$(V0)", env) == "x"
+        else:
+            with pytest.raises(ExpansionDepthExceeded):
+                fn("$(V0)", env)
+
+    @given(
+        template=EXPAND_TEMPLATES,
+        env=st.dictionaries(st.sampled_from(EXPAND_NAMES), EXPAND_TEMPLATES, max_size=4),
+        rule_ctx=st.sampled_from([None, make_rule(), make_rule(prereqs=())]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_reference_expander(self, template, env, rule_ctx):
+        def outcome(fn):
+            try:
+                return fn(template, env, rule_ctx, "f.wf:1")
+            except LineageError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(expand) == outcome(reference_expand)
+
 
 class TestInstantiateRules:
     def test_multi_target_line_yields_independent_rules(self):
@@ -301,6 +341,30 @@ class TestFlattenStatements:
         _, statements = flatten_statements("top.wf", tmp_path)
         env = build_env(statements)
         assert env["X"] == "after"
+
+    def test_deep_include_chain_loads_in_order(self, tmp_path):
+        chain = write_include_chain(tmp_path, 1100)
+        files, statements = flatten_statements(chain[0], tmp_path)
+        assert [f.path for f in files] == chain
+        assert [s.value for s in statements] == [str(i) for i in range(1100)]
+
+    def test_deep_include_cycle_names_the_whole_chain(self, tmp_path):
+        chain = write_include_chain(tmp_path, 1100, close_cycle=True)
+        with pytest.raises(IncludeCycle) as info:
+            flatten_statements(chain[0], tmp_path)
+        assert info.value.chain == chain + [chain[0]]
+
+
+def write_include_chain(root: Path, n: int, close_cycle: bool = False) -> list[str]:
+    """Files c0000.wf ... each setting N to its index and then including
+    the next; the last one includes the first when `close_cycle`."""
+    names = [f"c{i:04d}.wf" for i in range(n)]
+    for i, name in enumerate(names):
+        text = f"N = {i}\n"
+        if i + 1 < n or close_cycle:
+            text += f"include {names[(i + 1) % n]}\n"
+        (root / name).write_text(text, encoding="utf-8")
+    return names
 
 
 # Curated invalid corpus: every construct the DSL rejects, with the line
