@@ -21,6 +21,7 @@ from .errors import (
     InputError,
     LineageError,
     RecipeFailed,
+    UsageError,
     VerificationError,
 )
 from .executor import DIGEST, TIMESTAMP
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except LineageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GENERIC
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,7 +2,8 @@
 
 Every error a project run can hit maps onto one of the CLI exit codes:
 recipe failures (2), verification failures (3), input failures (4),
-everything else generic (1). The mapping lives in `cli`.
+bad arguments (64), everything else generic (1). The mapping lives in
+`cli`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,10 @@ from __future__ import annotations
 
 class LineageError(Exception):
     """Base class for all engine errors."""
+
+
+class UsageError(ValueError):
+    """An argument out of its allowed range or form."""
 
 
 # --- graph construction / traversal ---

@@ -25,9 +25,10 @@ from .errors import (
     RecipeFailed,
     ShellNotFound,
     TargetNotProduced,
+    UsageError,
 )
 from .graph import BUILT, SOURCE, LineageGraph, Rule, ancestors
-from .state import BuildState, TargetRecord, file_digest
+from .state import BuildState, DigestCache, TargetRecord, file_digest
 
 TIMESTAMP = "timestamp"
 DIGEST = "digest"
@@ -144,14 +145,20 @@ def stale_set(
     state: BuildState,
     mode: str = TIMESTAMP,
     root: str | Path = ".",
+    *,
+    closure: set[str] | None = None,
+    cache: DigestCache | None = None,
 ) -> set[str]:
     """Built nodes in the goal's closure that need rebuilding.
 
     Each node of the closure is stat'd once. Raises MissingSource for any
-    source file in the closure that does not exist on disk.
+    source file in the closure that does not exist on disk. `closure` is
+    `ancestors(graph, goal)` when the caller has it already; `cache` is
+    passed to every `file_digest` call.
     """
     root = Path(root)
-    closure = ancestors(graph, goal)
+    if closure is None:
+        closure = ancestors(graph, goal)
     order = [n for n in graph.order if n in closure]
     mtime = {n: _mtime(root / n) for n in order}  # None: missing
 
@@ -167,7 +174,7 @@ def stale_set(
             return True
         for prereq, recorded in zip(rule.prerequisites, rec.prereq_digests):
             if prereq not in digests:
-                digests[prereq] = file_digest(root / prereq)
+                digests[prereq] = file_digest(root / prereq, cache=cache)
             if digests[prereq] != recorded:
                 return True
         return False
@@ -211,6 +218,7 @@ def execute(
     on_event: Callable[[dict], None] | None = None,
     group_gid: int | None = None,
     raise_on_error: bool = True,
+    cache: DigestCache | None = None,
 ) -> ExecutionReport:
     """Bring the goal up to date, running stale recipes with `jobs` workers.
 
@@ -220,14 +228,14 @@ def execute(
     build state records content digests for the digest staleness mode.
     """
     if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        raise UsageError("jobs must be >= 1")
     root = Path(root)
     build_path = Path(build_dir) if build_dir else None
 
-    stale = stale_set(graph, goal, state, mode, root)
-    closure_built = {n for n in ancestors(graph, goal) if graph.nodes[n] == BUILT}
+    closure = ancestors(graph, goal)
+    stale = stale_set(graph, goal, state, mode, root, closure=closure, cache=cache)
     report = ExecutionReport(jobs=jobs)
-    report.skipped_fresh = sorted(closure_built - stale)
+    report.skipped_fresh = sorted(n for n in closure - stale if graph.nodes[n] == BUILT)
 
     if not stale:
         return report
@@ -301,7 +309,7 @@ def execute(
                 )
                 if group_gid is not None and tpath.exists():
                     _apply_group(tpath, group_gid)
-                _record(state, graph.rules[target], root, tpath)
+                _record(state, graph.rules[target], root, tpath, cache)
                 if on_event:
                     on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
                 for dep in dependents[target]:
@@ -318,12 +326,13 @@ def execute(
     return report
 
 
-def _record(state: BuildState, rule: Rule, root: Path, tpath: Path) -> None:
-    target_digest = file_digest(tpath) if tpath.exists() else ""
+def _record(state: BuildState, rule: Rule, root: Path, tpath: Path,
+            cache: DigestCache | None) -> None:
+    target_digest = file_digest(tpath, cache=cache) if tpath.exists() else ""
     prereq_digests = []
     for prereq in rule.prerequisites:
         ppath = root / prereq
-        prereq_digests.append(file_digest(ppath) if ppath.exists() else "")
+        prereq_digests.append(file_digest(ppath, cache=cache) if ppath.exists() else "")
     state.put(
         TargetRecord(
             target=rule.target,

@@ -13,12 +13,9 @@ from __future__ import annotations
 import logging
 import os
 import shutil
-import ssl
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
@@ -30,7 +27,7 @@ from .errors import (
     OfflineAndMissing,
 )
 from .parser import InputSpec
-from .state import file_digest
+from .state import DigestCache, file_digest
 
 log = logging.getLogger("lineage_forge.fetch")
 
@@ -43,13 +40,14 @@ class Mismatch:
     actual_hex: str
 
 
-def verify_checksum(path: str | Path, algorithm: str, expected_hex: str) -> Mismatch | None:
+def verify_checksum(path: str | Path, algorithm: str, expected_hex: str, *,
+                    cache: DigestCache | None = None) -> Mismatch | None:
     """Stream the file and compare digests case-insensitively.
 
     Returns None when the digest matches, otherwise a Mismatch carrying
     the actual digest.
     """
-    actual = file_digest(path, algorithm)
+    actual = file_digest(path, algorithm, cache=cache)
     if actual == expected_hex.lower():
         return None
     return Mismatch(actual)
@@ -78,10 +76,14 @@ class Transport(Protocol):
 
 class UrllibTransport:
     """HTTP(S) GET via urllib. Certificate verification is on unless
-    `insecure` is set (which is logged loudly)."""
+    `insecure` is set (which is logged loudly). The network modules are
+    imported here, not at module level, so offline makes never load them."""
 
     def __init__(self, proxies: dict[str, str] | None = None, insecure: bool = False,
                  timeout: float = 60.0):
+        import ssl
+        import urllib.request
+
         handlers: list[urllib.request.BaseHandler] = [
             urllib.request.ProxyHandler(proxies or {})
         ]
@@ -95,6 +97,8 @@ class UrllibTransport:
         self._timeout = timeout
 
     def fetch(self, url: str, sink) -> None:
+        import urllib.error
+
         try:
             with self._opener.open(url, timeout=self._timeout) as resp:
                 shutil.copyfileobj(resp, sink)
@@ -158,7 +162,8 @@ class InputResolver:
 
     Search order per spec'd pin: already-imported build copy, then the
     optional host input directory, then the network. Per-filename locks
-    serialize concurrent resolution of the same file.
+    serialize concurrent resolution of the same file. `cache`, if given,
+    serves the digest of an already-imported copy.
     """
 
     def __init__(
@@ -169,6 +174,7 @@ class InputResolver:
         offline: bool = False,
         retries: int = DEFAULT_RETRIES,
         backoff_seconds: tuple[float, ...] = DEFAULT_BACKOFF,
+        cache: DigestCache | None = None,
     ):
         self.inputs_dir = Path(build_dir) / "inputs"
         self.input_dir = Path(input_dir) if input_dir else None
@@ -176,6 +182,7 @@ class InputResolver:
         self.offline = offline
         self.retries = retries
         self.backoff_seconds = backoff_seconds
+        self.cache = cache
         self._locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
 
@@ -192,7 +199,7 @@ class InputResolver:
         dest = self.inputs_dir / spec.filename
 
         if dest.exists():
-            mismatch = verify_checksum(dest, spec.algorithm, spec.digest)
+            mismatch = verify_checksum(dest, spec.algorithm, spec.digest, cache=self.cache)
             if mismatch is None:
                 return dest
             raise ChecksumMismatch(str(dest), "build inputs", spec.digest, mismatch.actual_hex)

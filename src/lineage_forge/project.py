@@ -13,7 +13,6 @@ import grp
 import logging
 import os
 import shutil
-import tarfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -25,6 +24,7 @@ from .errors import (
     LineageError,
     MissingStageMacroFile,
     UnknownGoal,
+    UsageError,
     VerificationFailed,
 )
 from .executor import TIMESTAMP, EnvPolicy, ExecutionReport, execute
@@ -51,7 +51,7 @@ from .provenance import (
     machine_info,
 )
 from .software import TARGETS_RELPATH, parse_targets, verify_tarballs, version_macros
-from .state import STATE_RELPATH, BuildState
+from .state import DIGESTS_RELPATH, STATE_RELPATH, BuildState, DigestCache
 from .verify import (
     Filter,
     VerificationEntry,
@@ -225,7 +225,7 @@ def configure(
     """Record local directories, create the build tree and the `.build`
     symlink, and verify the pinned software manifest. Idempotent."""
     if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+        raise UsageError("jobs must be >= 1")
     group_gid = _group_gid(group)
     root = Path(root)
     build_path = Path(build_dir).expanduser()
@@ -362,11 +362,15 @@ def run_make(
     on_event: EventCallback | None = None,
 ) -> MakeResult:
     """The full pipeline: parse, resolve inputs, execute the DAG, verify
-    all deliverables, then aggregate the narrative macros."""
+    all deliverables, then aggregate the narrative macros.
+
+    Every digest of a large file goes through one DigestCache, loaded
+    here and saved once all hashing is done."""
     root = Path(root)
     config = LocalConfig.load(root)
     group_gid = _group_gid(config.group)
     build_dir = Path(config.build_dir)
+    cache = DigestCache.load(build_dir)
     project = Project.load(root)
     project.macro_targets_declared()
 
@@ -386,6 +390,7 @@ def run_make(
             config.resolve_dir(root, config.input_dir),
             transport=transport,
             offline=offline,
+            cache=cache,
         )
         resolved = resolver.resolve_all(project.input_specs)
         if on_event:
@@ -408,6 +413,7 @@ def run_make(
             build_dir=build_dir,
             on_event=on_event,
             group_gid=group_gid,
+            cache=cache,
         )
     finally:
         state.save(build_dir)
@@ -416,9 +422,10 @@ def run_make(
             on_event({"event": "fresh", "target": target})
 
     if partial:
+        cache.save()
         return MakeResult(report, None, None, the_goal)
 
-    verification = _verify_stage(root, build_dir, on_event)
+    verification = _verify_stage(root, build_dir, on_event, cache)
     if verification is not None and not verification.ok and serial_verify and n_jobs > 1:
         log.warning("verification failed after a parallel build; retrying serially")
         _remove_built(project, the_goal, root, state)
@@ -426,10 +433,11 @@ def run_make(
         report = execute(
             project.graph, the_goal, 1, env_policy, state,
             mode=mode, root=root, build_dir=build_dir,
-            on_event=on_event, group_gid=group_gid,
+            on_event=on_event, group_gid=group_gid, cache=cache,
         )
         state.save(build_dir)
-        verification = _verify_stage(root, build_dir, on_event)
+        verification = _verify_stage(root, build_dir, on_event, cache)
+    cache.save()
     if verification is not None and not verification.ok:
         raise VerificationFailed([r.path for r in verification.failing()])
 
@@ -437,13 +445,13 @@ def run_make(
     return MakeResult(report, verification, aggregate_path, the_goal)
 
 
-def _verify_stage(root: Path, build_dir: Path,
-                  on_event: EventCallback | None) -> VerificationReport | None:
+def _verify_stage(root: Path, build_dir: Path, on_event: EventCallback | None,
+                  cache: DigestCache | None = None) -> VerificationReport | None:
     manifest = root / VERIFY_MANIFEST
     if not manifest.is_file():
         return None
     entries = parse_manifest(manifest.read_text(encoding="utf-8"), VERIFY_MANIFEST)
-    report = verify_all(entries, build_dir)
+    report = verify_all(entries, build_dir, cache=cache)
     if on_event:
         for result in report.results:
             on_event({"event": "verify", "path": result.path, "status": result.status})
@@ -493,7 +501,8 @@ def _remove_built(project: Project, goal: str, root: Path, state: BuildState) ->
 
 
 def run_verify(root: str | Path, on_event: EventCallback | None = None) -> VerificationReport:
-    """Standalone verification against the pinned manifest."""
+    """Standalone verification against the pinned manifest. It reads every
+    byte of every entry: no digest comes from the cache."""
     root = Path(root)
     config = LocalConfig.load(root)
     if not (root / VERIFY_MANIFEST).is_file():
@@ -556,6 +565,7 @@ def clean(root: str | Path) -> list[str]:
         aggregate.unlink()
         removed.append(str(aggregate))
     (build_dir / STATE_RELPATH).unlink(missing_ok=True)
+    (build_dir / DIGESTS_RELPATH).unlink(missing_ok=True)
     logs = build_dir / "logs"
     if logs.is_dir():
         shutil.rmtree(logs)
@@ -594,6 +604,7 @@ def make_dist(root: str | Path, output: str | Path | None = None) -> Path:
     produce byte-identical archives.
     """
     import gzip
+    import tarfile
 
     root = Path(root)
     git = git_state(root)

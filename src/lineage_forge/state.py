@@ -1,17 +1,23 @@
-"""Per-target build state, persisted under `<build>/state/build-state.tsv`.
+"""Per-target build state and the digest cache, both under `<build>/state/`.
 
-One line per target: path, epoch seconds of the last successful build,
-the target's content digest, and the semicolon-joined digests of its
-prerequisites as they were at build time (in rule order). Digests are
-lowercase hex SHA-256; digest-mode staleness compares against them. A
-line that does not parse (a truncated write, a hand edit) is skipped with
-a warning; that can only make its target rebuild.
+`build-state.tsv` has one line per target: path, epoch seconds of the
+last successful build, the target's content digest, and the
+semicolon-joined digests of its prerequisites as they were at build time
+(in rule order). Digests are lowercase hex SHA-256; digest-mode
+staleness compares against them. A line that does not parse (a truncated
+write, a hand edit) is skipped with a warning; that can only make its
+target rebuild.
+
+`digests.tsv` caches the digests of large files for one `make` to the
+next (see DigestCache); it may be deleted at any time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -19,20 +25,45 @@ from typing import Iterable, Iterator
 log = logging.getLogger("lineage_forge.state")
 
 STATE_RELPATH = "state/build-state.tsv"
+DIGESTS_RELPATH = "state/digests.tsv"
 CHUNK_SIZE = 1 << 16
+_HEX_RE = re.compile(r"[0-9a-f]+")
+
+# (st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)
+StatKey = tuple[int, int, int, int, int]
+# (absolute path, algorithm, strip prefix)
+DigestKey = tuple[str, str, bytes | None]
 
 
 def file_digest(path: str | Path, algorithm: str = "sha256",
-                strip_prefix: bytes | None = None) -> str:
+                strip_prefix: bytes | None = None, *,
+                cache: DigestCache | None = None) -> str:
     """Streaming content digest, lowercase hex. With `strip_prefix` (one
     byte), every line starting with it is dropped, line end included,
-    before hashing. Memory use is bounded by CHUNK_SIZE either way."""
-    h = hashlib.new(algorithm)
+    before hashing. Memory use is bounded by CHUNK_SIZE either way.
+
+    With `cache`, a file of at least CHUNK_SIZE bytes is looked up by the
+    stat key of the open file, and hashed and stored only on a miss.
+    Smaller files cost no more to read than to look up, so they are
+    always hashed."""
     with open(path, "rb") as fh:
+        key = None
+        if cache is not None:
+            st = os.fstat(fh.fileno())
+            if st.st_size >= CHUNK_SIZE:
+                key = (os.path.abspath(path), algorithm, strip_prefix)
+                stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+                digest = cache.get(key, stat_key)
+                if digest is not None:
+                    return digest
+        h = hashlib.new(algorithm)
         chunks = iter(lambda: fh.read(CHUNK_SIZE), b"")
         for chunk in chunks if strip_prefix is None else _strip_lines(chunks, strip_prefix):
             h.update(chunk)
-    return h.hexdigest()
+    digest = h.hexdigest()
+    if key is not None:
+        cache.put(key, stat_key, digest)
+    return digest
 
 
 def _strip_lines(chunks: Iterable[bytes], prefix: bytes) -> Iterator[bytes]:
@@ -68,15 +99,20 @@ class TargetRecord:
 @dataclass
 class BuildState:
     records: dict[str, TargetRecord] = field(default_factory=dict)
+    # True when the file on disk differs from `records`; `save` skips
+    # the write otherwise.
+    changed: bool = field(default=False, init=False, compare=False)
 
     def get(self, target: str) -> TargetRecord | None:
         return self.records.get(target)
 
     def put(self, record: TargetRecord) -> None:
         self.records[record.target] = record
+        self.changed = True
 
     def forget(self, target: str) -> None:
         self.records.pop(target, None)
+        self.changed = True
 
     @classmethod
     def load(cls, build_dir: str | Path) -> "BuildState":
@@ -97,11 +133,14 @@ class BuildState:
                 )
             except ValueError:
                 log.warning("%s:%d: skipping malformed build-state record", path, lineno)
+                state.changed = True  # the next save drops the line
                 continue
-            state.put(record)
+            state.records[record.target] = record
         return state
 
     def save(self, build_dir: str | Path) -> None:
+        if not self.changed:
+            return
         path = Path(build_dir) / STATE_RELPATH
         path.parent.mkdir(parents=True, exist_ok=True)
         lines = []
@@ -118,3 +157,93 @@ class BuildState:
                 )
             )
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        self.changed = False
+
+
+class DigestCache:
+    """Digests of large files from one `make` to the next, persisted as
+    `<build>/state/digests.tsv`.
+
+    One line per entry: absolute path, algorithm, strip prefix (hex, `-`
+    for none), the five StatKey fields, digest. An entry is trusted only
+    while the file's StatKey is unchanged and its mtime and ctime are
+    both strictly older than the cache file's mtime, as read at load: a
+    file changed in the clock tick the cache was written in could change
+    again in that tick without changing its StatKey (git's racy-timestamp
+    rule). The rule reads ctime too because `os.utime` can set mtime
+    back, and nothing can set ctime. A line that does not parse, or a
+    cache that cannot be read, only makes files get re-hashed. A line
+    that parses is trusted as written. `save` writes the entries this
+    make used, and nothing if they are the ones it loaded.
+
+    `get` and `put` may run on several threads at once: each is a single
+    dict operation plus flag stores, so no update is lost.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._loaded: dict[DigestKey, tuple[StatKey, str]] = {}
+        self._written_ns = 0
+        self._used: dict[DigestKey, tuple[StatKey, str]] = {}
+        self._changed = False
+
+    @classmethod
+    def load(cls, build_dir: str | Path) -> "DigestCache":
+        cache = cls(Path(build_dir) / DIGESTS_RELPATH)
+        try:
+            with open(cache.path, "rb") as fh:
+                cache._written_ns = os.fstat(fh.fileno()).st_mtime_ns
+                data = fh.read()
+        except OSError:
+            return cache
+        for raw in data.split(b"\n"):
+            if not raw:
+                continue
+            try:
+                path, algorithm, prefix, *stat_fields, digest = raw.split(b"\t")
+                stat_key = tuple(int(n) for n in stat_fields)
+                algorithm = algorithm.decode("ascii")
+                digest = digest.decode("ascii")
+                if (len(stat_key) != 5 or not _HEX_RE.fullmatch(digest)
+                        or len(digest) != 2 * hashlib.new(algorithm).digest_size):
+                    raise ValueError(raw)
+                key = (os.fsdecode(path), algorithm,
+                       None if prefix == b"-" else bytes.fromhex(prefix.decode("ascii")))
+            except ValueError:
+                cache._changed = True  # the next save drops the line
+                continue
+            cache._loaded[key] = (stat_key, digest)
+        return cache
+
+    def get(self, key: DigestKey, stat_key: StatKey) -> str | None:
+        entry = self._loaded.get(key)
+        if entry is None or entry[0] != stat_key or max(stat_key[3:]) >= self._written_ns:
+            return None
+        self._used[key] = entry
+        return entry[1]
+
+    def put(self, key: DigestKey, stat_key: StatKey, digest: str) -> None:
+        if any(c in key[0] for c in "\t\n\r"):
+            return  # the line could not be read back
+        self._used[key] = (stat_key, digest)
+        self._changed = True
+
+    def save(self) -> None:
+        if not self._changed and len(self._used) == len(self._loaded):
+            return
+        lines = []
+        for (path, algorithm, prefix), (stat_key, digest) in self._used.items():
+            fields = [path, algorithm, "-" if prefix is None else prefix.hex(),
+                      *map(str, stat_key), digest]
+            lines.append(os.fsencode("\t".join(fields)) + b"\n")
+        # A temp file in the same directory, renamed over the cache, so a
+        # reader never sees half a file; it is created with the umask's
+        # mode, as build-state.tsv is, so a shared build group can read it.
+        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}")
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(b"".join(sorted(lines)))
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            tmp.unlink(missing_ok=True)
+            log.warning("%s: could not write the digest cache: %s", self.path, exc)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DslSyntaxError, FileMissing
+from .errors import DslSyntaxError, FileMissing, UsageError
 from .parser import DIGEST_LENGTHS, _HEX_RE
-from .state import file_digest
+from .state import DigestCache, file_digest
 
 FILTER_NONE = "none"
 FILTER_STRIP = "strip-comments"
@@ -32,7 +32,7 @@ class Filter:
             raise ValueError(f"unknown filter kind {self.kind!r}")
         # A prefix outside 0x21-0x7e could not be written back to verify.conf.
         if len(self.prefix) != 1 or not "!" <= self.prefix <= "~":
-            raise ValueError("filter prefix must be one printable non-space ASCII character")
+            raise UsageError("filter prefix must be one printable non-space ASCII character")
 
     @classmethod
     def parse(cls, text: str) -> "Filter":
@@ -42,7 +42,7 @@ class Filter:
             return cls(FILTER_STRIP, "#")
         if text.startswith(FILTER_STRIP + ":") and len(text) == len(FILTER_STRIP) + 2:
             return cls(FILTER_STRIP, text[-1])
-        raise ValueError(f"unknown filter spec {text!r}")
+        raise UsageError(f"unknown filter spec {text!r}")
 
     def serialize(self) -> str:
         if self.kind == FILTER_NONE:
@@ -86,29 +86,33 @@ class VerificationReport:
         return [r for r in self.results if r.status != "ok"]
 
 
-def filtered_digest(path: str | Path, filt: Filter, algorithm: str) -> str:
+def filtered_digest(path: str | Path, filt: Filter, algorithm: str, *,
+                    cache: DigestCache | None = None) -> str:
     """Digest of the file after applying the metadata filter: strip-comments
     drops every line whose first byte is the prefix character (raw byte
     comparison, no whitespace skipping)."""
     if not Path(path).is_file():
         raise FileMissing(str(path))
     prefix = None if filt.kind == FILTER_NONE else filt.prefix.encode("ascii")
-    return file_digest(path, algorithm, prefix)
+    return file_digest(path, algorithm, prefix, cache=cache)
 
 
-def verify_entry(entry: VerificationEntry, build_dir: str | Path) -> EntryResult:
+def verify_entry(entry: VerificationEntry, build_dir: str | Path, *,
+                 cache: DigestCache | None = None) -> EntryResult:
     try:
-        actual = filtered_digest(Path(build_dir) / entry.path, entry.filter, entry.algorithm)
+        actual = filtered_digest(Path(build_dir) / entry.path, entry.filter, entry.algorithm,
+                                 cache=cache)
     except FileMissing:
         return EntryResult(entry.path, "missing")
     status = "ok" if actual == entry.expected.lower() else "mismatch"
     return EntryResult(entry.path, status, actual)
 
 
-def verify_all(entries: list[VerificationEntry], build_dir: str | Path) -> VerificationReport:
+def verify_all(entries: list[VerificationEntry], build_dir: str | Path, *,
+               cache: DigestCache | None = None) -> VerificationReport:
     """Check every entry, with no short-circuit, so the report names every
     failing file. Order of the report follows the entry list."""
-    return VerificationReport([verify_entry(e, build_dir) for e in entries])
+    return VerificationReport([verify_entry(e, build_dir, cache=cache) for e in entries])
 
 
 def record_manifest(

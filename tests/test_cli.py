@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,6 +120,35 @@ class TestMake:
         assert proc.returncode == 1
         assert NO_SUCH_GROUP in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_offline_make_loads_no_network_stack(self, demo_project):
+        code = (
+            "import sys\n"
+            "from lineage_forge.cli import main\n"
+            "status = main(['-C', sys.argv[1], 'make', '--offline'])\n"
+            "print([m for m in ('ssl', 'urllib.request', 'tarfile') if m in sys.modules])\n"
+            "sys.exit(status)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(demo_project)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_engine_value_error_is_not_a_usage_error(self, tmp_path):
+        # Only UsageError maps to 64; any other ValueError is an internal
+        # fault and ends the process with a traceback and exit 1.
+        code = (
+            "import sys\n"
+            "from lineage_forge import cli\n"
+            "def run_make(*args, **kwargs):\n"
+            "    raise ValueError('engine fault')\n"
+            "cli.run_make = run_make\n"
+            "sys.exit(cli.main(['-C', sys.argv[1], 'make']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "ValueError: engine fault" in proc.stderr
 
     def test_recipe_failure_exit_2(self, tmp_path):
         root = tiny_project(tmp_path, recipe="exit 3")

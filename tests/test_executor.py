@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from lineage_forge.errors import MissingSource, RecipeFailed, ShellNotFound, TargetNotProduced
+from lineage_forge import executor as executor_module
+from lineage_forge.errors import (
+    MissingSource,
+    RecipeFailed,
+    ShellNotFound,
+    TargetNotProduced,
+    UsageError,
+)
 from lineage_forge.executor import (
     DIGEST,
     TIMESTAMP,
@@ -16,7 +23,7 @@ from lineage_forge.executor import (
     stale_set,
 )
 from lineage_forge.graph import Origin, Rule, ancestors, build_graph, descendants
-from lineage_forge.state import BuildState, TargetRecord, file_digest
+from lineage_forge.state import STATE_RELPATH, BuildState, TargetRecord, file_digest
 
 from oracles import brute_force_stale_digest, brute_force_stale_timestamp
 
@@ -383,9 +390,37 @@ class TestExecute:
                          root=tmp_path)
         assert report.executed == []
 
+    def test_state_saved_only_when_changed(self, tmp_path):
+        graph = self.diamond(tmp_path)
+        state = BuildState()
+        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path)
+        state.save(tmp_path / "bd")
+        state_file = tmp_path / "bd" / STATE_RELPATH
+        unsorted = b"".join(reversed(state_file.read_bytes().splitlines(keepends=True)))
+        state_file.write_bytes(unsorted)  # a save would sort it
+        loaded = BuildState.load(tmp_path / "bd")
+        report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
+                         root=tmp_path)
+        assert report.executed == []
+        loaded.save(tmp_path / "bd")
+        assert state_file.read_bytes() == unsorted
+        loaded.forget("left")
+        loaded.save(tmp_path / "bd")
+        assert b"left\t" not in state_file.read_bytes()
+
+    def test_ancestors_computed_once(self, tmp_path, monkeypatch):
+        graph = self.diamond(tmp_path)
+        calls = []
+        monkeypatch.setattr(executor_module, "ancestors",
+                            lambda *args: calls.append(args) or ancestors(*args))
+        report = execute(graph, "goal", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        assert len(report.executed) == 3 and len(calls) == 1
+        report = execute(graph, "goal", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        assert report.skipped_fresh == ["goal", "left", "right"] and len(calls) == 2
+
     def test_jobs_must_be_positive(self, tmp_path):
         graph = self.diamond(tmp_path)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             execute(graph, "goal", 0, policy(tmp_path), BuildState(), root=tmp_path)
 
     def test_minimality_after_single_source_change(self, tmp_path):
