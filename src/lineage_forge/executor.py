@@ -1,4 +1,4 @@
-"""Incremental, parallel recipe execution with a scrubbed environment.
+"""Incremental recipe execution from one wait loop, in a scrubbed environment.
 
 Staleness follows classic rebuild semantics: in `timestamp` mode a target
 is stale when missing or older than any prerequisite; in `digest` mode
@@ -10,15 +10,16 @@ strictly from an EnvPolicy; nothing leaks in from the host.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import errno
 import heapq
 import os
 import subprocess
+import tempfile
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable, Generator
 
 from .errors import (
     MissingSource,
@@ -95,32 +96,28 @@ class ExecutionReport:
         return [e.target for e in self.executed]
 
 
-def run_recipe(rule: Rule, env: EnvPolicy) -> tuple[int, str]:
-    """Run a rule's recipe lines one by one, stopping at the first failure.
+def run_recipe(rule: Rule, env: EnvPolicy,
+               log: BinaryIO) -> Generator[subprocess.Popen, int, int]:
+    """Start a rule's recipe lines one by one, stopping at the first failure.
 
     Each line goes through the policy's POSIX shell with `-e`, so a
-    multi-command line also aborts at its first failing command. Returns
-    the last exit status and the combined captured output.
+    multi-command line also aborts at its first failing command. Its
+    stdout and stderr go straight to `log`. The generator yields each
+    line's process and must be sent that line's exit status before it
+    starts the next; it returns the last status (0 for no lines).
     """
-    chunks: list[str] = []
     environment = env.environment()
+    status = 0
     for line in rule.recipe:
         try:
-            proc = subprocess.run(
-                [env.shell, "-e", "-c", line],
-                cwd=env.workdir,
-                env=environment,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
-            )
+            proc = subprocess.Popen([env.shell, "-e", "-c", line], cwd=env.workdir,
+                                    env=environment, stdout=log, stderr=subprocess.STDOUT)
         except FileNotFoundError:
             raise ShellNotFound(env.shell) from None
-        if proc.stdout:
-            chunks.append(proc.stdout)
-        if proc.returncode != 0:
-            return proc.returncode, "".join(chunks)
-    return 0, "".join(chunks)
+        status = yield proc
+        if status != 0:
+            break
+    return status
 
 
 # Errors for which `Path.exists()` reports a path as absent.
@@ -199,11 +196,23 @@ def stale_set(
     return stale
 
 
-def _log_path(build_dir: Path, target: str) -> Path:
-    rel = target
-    if rel.startswith(".build/"):
-        rel = rel[len(".build/"):]
-    return build_dir / "logs" / (rel + ".log")
+def _open_log(build_dir: Path | None, target: str) -> BinaryIO:
+    """The target's log, `<build>/logs/<target>.log`, or an anonymous
+    temporary file when there is no build directory."""
+    if build_dir is None:
+        return tempfile.TemporaryFile()
+    path = build_dir / "logs" / (target.removeprefix(".build/") + ".log")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w+b")
+
+
+def _output_tail(log: BinaryIO) -> str:
+    """The last OUTPUT_TAIL_CHARS characters of the log, undecodable bytes
+    replaced. A UTF-8 character is at most 4 bytes, and 3 more bytes cover
+    one cut at the front."""
+    size = log.seek(0, os.SEEK_END)
+    log.seek(max(0, size - 4 * OUTPUT_TAIL_CHARS - 3))
+    return log.read().decode("utf-8", errors="replace")[-OUTPUT_TAIL_CHARS:]
 
 
 def execute(
@@ -220,12 +229,12 @@ def execute(
     raise_on_error: bool = True,
     cache: DigestCache | None = None,
 ) -> ExecutionReport:
-    """Bring the goal up to date, running stale recipes with `jobs` workers.
+    """Bring the goal up to date, running at most `jobs` recipes at once.
 
     A recipe starts only once all its prerequisites are fresh. On the
     first failure no new work is scheduled; running recipes drain. Each
-    target's output is captured to `<build>/logs/<target>.log`, and the
-    build state records content digests for the digest staleness mode.
+    recipe writes `<build>/logs/<target>.log` as it runs, and the build
+    state records content digests for the digest staleness mode.
     """
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
@@ -252,71 +261,85 @@ def execute(
         pending[target] = count
 
     ready = [t for t, c in pending.items() if c == 0]
-    heapq.heapify(ready)  # smallest ready target is dispatched first
+    heapq.heapify(ready)  # smallest ready target is started first
     failure: FailedTarget | None = None
     failure_exc: Exception | None = None
+    # pid -> (target, steps, log, started, process) for each running line;
+    # `done` holds targets whose recipe ended, in the order they ended.
+    # A target holds its slot until the loop has settled it.
+    running: dict[int, tuple[str, Generator, BinaryIO, float, subprocess.Popen]] = {}
+    done: deque[tuple[str, int, BinaryIO, float, float]] = deque()
 
-    def work(target: str) -> tuple[str, int, str, float, float]:
-        started = time.monotonic()
-        status, output = run_recipe(graph.rules[target], env)
-        finished = time.monotonic()
-        return target, status, output, started, finished
+    def advance(target: str, steps: Generator, log: BinaryIO, started: float,
+                status: int | None) -> None:
+        """Start the target's next line, or queue the target as done."""
+        try:
+            proc = steps.send(status)
+        except StopIteration as stop:
+            done.append((target, stop.value, log, started, time.monotonic()))
+        except BaseException:
+            log.close()
+            raise
+        else:
+            running[proc.pid] = (target, steps, log, started, proc)
 
-    with cf.ThreadPoolExecutor(max_workers=jobs) as pool:
-        running: dict[cf.Future, str] = {}
+    def fill() -> None:
+        while ready and len(running) + len(done) < jobs and failure is None:
+            target = heapq.heappop(ready)
+            log = _open_log(build_path, target)
+            advance(target, run_recipe(graph.rules[target], env, log), log,
+                    time.monotonic(), None)
 
-        def submit_ready() -> None:
-            while ready and len(running) < jobs and failure is None:
-                target = heapq.heappop(ready)
-                running[pool.submit(work, target)] = target
-
-        submit_ready()
-        while running:
-            done, _ = cf.wait(running, return_when=cf.FIRST_COMPLETED)
-            for fut in done:
-                target = running.pop(fut)
-                try:
-                    _, status, output, started, finished = fut.result()
-                except ShellNotFound:
-                    raise
+    try:
+        fill()
+        while running or done:
+            if not done:
+                # `execute` starts no child but its recipes while it runs,
+                # so a pid it did not start is not its to handle: ignore it.
+                pid, wait_status = os.wait()
+                if pid in running:
+                    target, steps, log, started, proc = running.pop(pid)
+                    # Reaped here, so the Popen must never wait on the pid.
+                    proc.returncode = os.waitstatus_to_exitcode(wait_status)
+                    advance(target, steps, log, started, proc.returncode)
+                continue
+            target, status, log, started, finished = done.popleft()
+            with log:
                 rule = graph.rules[target]
-                if build_path is not None:
-                    log_file = _log_path(build_path, target)
-                    log_file.parent.mkdir(parents=True, exist_ok=True)
-                    log_file.write_text(output, encoding="utf-8")
                 tpath = root / target
-                if status != 0:
-                    if failure is None:
-                        failure = FailedTarget(
-                            target, status, output[-OUTPUT_TAIL_CHARS:], "recipe"
-                        )
-                        failure_exc = RecipeFailed(target, status, output[-OUTPUT_TAIL_CHARS:])
-                    if tpath.exists():
-                        tpath.rename(str(tpath) + ".failed")
+                if status == 0 and (not rule.recipe or tpath.exists()):
+                    # Release dependents and refill the slots first, so
+                    # recipes run while this target is recorded.
+                    for dep in dependents[target]:
+                        pending[dep] -= 1
+                        if pending[dep] == 0:
+                            heapq.heappush(ready, dep)
+                    fill()
+                    seconds = finished - started
+                    report.executed.append(ExecutedTarget(target, 0, seconds, started, finished))
+                    if group_gid is not None and tpath.exists():
+                        _apply_group(tpath, group_gid)
+                    _record(state, rule, root, tpath, cache)
                     if on_event:
-                        on_event({"event": "failed", "target": target, "status": status})
+                        on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
                     continue
-                if rule.recipe and not tpath.exists():
-                    if failure is None:
-                        failure = FailedTarget(target, 0, output[-OUTPUT_TAIL_CHARS:], "not-produced")
-                        failure_exc = TargetNotProduced(target)
-                    if on_event:
-                        on_event({"event": "failed", "target": target, "status": 0})
-                    continue
-                seconds = finished - started
-                report.executed.append(
-                    ExecutedTarget(target, status, seconds, started, finished)
-                )
-                if group_gid is not None and tpath.exists():
-                    _apply_group(tpath, group_gid)
-                _record(state, graph.rules[target], root, tpath, cache)
+                if failure is None:
+                    tail = _output_tail(log)
+                    failure = FailedTarget(target, status, tail,
+                                           "recipe" if status else "not-produced")
+                    failure_exc = (RecipeFailed(target, status, tail) if status
+                                   else TargetNotProduced(target))
+                if status != 0 and tpath.exists():
+                    tpath.rename(str(tpath) + ".failed")
                 if on_event:
-                    on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
-                for dep in dependents[target]:
-                    pending[dep] -= 1
-                    if pending[dep] == 0:
-                        heapq.heappush(ready, dep)
-            submit_ready()
+                    on_event({"event": "failed", "target": target, "status": status})
+    finally:
+        # Whatever leaves the loop, no recipe outlives it.
+        for _, _, log, _, proc in running.values():
+            proc.wait()
+            log.close()
+        for _, _, log, _, _ in done:
+            log.close()
 
     report.failed = failure
     if failure is not None and raise_on_error:

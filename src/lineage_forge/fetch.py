@@ -14,7 +14,6 @@ import logging
 import os
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,8 +160,7 @@ class InputResolver:
     """Places verified inputs under `<build>/inputs/`.
 
     Search order per spec'd pin: already-imported build copy, then the
-    optional host input directory, then the network. Per-filename locks
-    serialize concurrent resolution of the same file. `cache`, if given,
+    optional host input directory, then the network. `cache`, if given,
     serves the digest of an already-imported copy.
     """
 
@@ -183,19 +181,9 @@ class InputResolver:
         self.retries = retries
         self.backoff_seconds = backoff_seconds
         self.cache = cache
-        self._locks: dict[str, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-
-    def _lock_for(self, filename: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._locks.setdefault(filename, threading.Lock())
 
     def resolve(self, spec: InputSpec) -> Path:
         """Return the verified build-directory path for one input pin."""
-        with self._lock_for(spec.filename):
-            return self._resolve_locked(spec)
-
-    def _resolve_locked(self, spec: InputSpec) -> Path:
         dest = self.inputs_dir / spec.filename
 
         if dest.exists():
@@ -207,51 +195,36 @@ class InputResolver:
         if self.input_dir is not None:
             candidate = self.input_dir / spec.filename
             if candidate.exists():
-                mismatch = verify_checksum(candidate, spec.algorithm, spec.digest)
-                if mismatch is not None:
-                    raise ChecksumMismatch(
-                        str(candidate), "input directory", spec.digest, mismatch.actual_hex
-                    )
-                self.inputs_dir.mkdir(parents=True, exist_ok=True)
-                tmp = dest.with_name(dest.name + ".copying")
-                shutil.copyfile(candidate, tmp)
-                os.replace(tmp, dest)
-                return dest
+                return self._import(spec, lambda staging: shutil.copyfile(candidate, staging),
+                                    str(candidate), "input directory")
 
         if self.offline:
             raise OfflineAndMissing(spec.name, spec.filename)
         if self.transport is None:
             raise DownloadFailed(spec.url, 0, "no transport configured")
-
-        # Fetch to a staging name so unverified bytes never sit at a path
-        # rules can read; only a digest-checked file is moved into place.
-        self.inputs_dir.mkdir(parents=True, exist_ok=True)
-        staging = dest.with_name(dest.name + ".fetching")
-        download(
-            spec.url,
-            staging,
-            self.transport,
-            retries=self.retries,
-            backoff_seconds=self.backoff_seconds,
+        return self._import(
+            spec,
+            lambda staging: download(spec.url, staging, self.transport, retries=self.retries,
+                                     backoff_seconds=self.backoff_seconds),
+            spec.url, "download",
         )
+
+    def _import(self, spec: InputSpec, write: Callable[[Path], object],
+                source: str, stage: str) -> Path:
+        """Write the pin's bytes to a staging name, so unverified bytes never
+        sit at a path rules can read; move them into place only once their
+        digest matches."""
+        self.inputs_dir.mkdir(parents=True, exist_ok=True)
+        dest = self.inputs_dir / spec.filename
+        staging = dest.with_name(dest.name + ".staging")
+        write(staging)
         mismatch = verify_checksum(staging, spec.algorithm, spec.digest)
         if mismatch is not None:
             staging.unlink(missing_ok=True)
-            raise ChecksumMismatch(spec.url, "download", spec.digest, mismatch.actual_hex)
+            raise ChecksumMismatch(source, stage, spec.digest, mismatch.actual_hex)
         os.replace(staging, dest)
         return dest
 
     def resolve_all(self, specs: list[InputSpec]) -> dict[str, Path]:
-        """Resolve every pin; independent files may resolve concurrently."""
-        results: dict[str, Path] = {}
-        if len(specs) <= 1:
-            for spec in specs:
-                results[spec.name] = self.resolve(spec)
-            return results
-        import concurrent.futures as cf
-
-        with cf.ThreadPoolExecutor(max_workers=min(8, len(specs))) as pool:
-            futures = {pool.submit(self.resolve, spec): spec for spec in specs}
-            for fut in cf.as_completed(futures):
-                results[futures[fut].name] = fut.result()
-        return results
+        """Resolve every pin, one at a time."""
+        return {spec.name: self.resolve(spec) for spec in specs}

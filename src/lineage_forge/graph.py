@@ -79,8 +79,7 @@ class LineageGraph:
     `rules` is the one stored relation; `order` lists every node in the
     lexicographically least topological order and is computed once, in
     `build_graph`. Everything else (edges, closures, dependents) is
-    derived from these two. Immutable after construction; safe to read
-    concurrently.
+    derived from these two. Immutable after construction.
     """
 
     nodes: dict[str, str] = field(default_factory=dict)  # path -> SOURCE|BUILT

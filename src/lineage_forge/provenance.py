@@ -132,15 +132,21 @@ def git_state(project_root: str | Path) -> GitState | None:
     """Commit provenance via the host `git`; None when unavailable.
 
     Dirty means tracked modifications exist (untracked files do not
-    count). The engine itself never requires Git to run.
+    count). One `git status` gives both the commit and the changes. The
+    engine itself never requires Git to run.
     """
-    full = _git(project_root, "rev-parse", "HEAD")
-    if not full:
+    status = _git(project_root, "status", "--porcelain=v2", "--branch",
+                  "--untracked-files=no")
+    if status is None:
         return None
-    status = _git(project_root, "status", "--porcelain")
-    dirty = False
-    if status:
-        dirty = any(line and not line.startswith("??") for line in status.splitlines())
+    full, dirty = "", False
+    for line in status.splitlines():
+        if line.startswith("# branch.oid "):
+            full = line[len("# branch.oid "):]
+        elif not line.startswith("#"):
+            dirty = True
+    if not full or full == "(initial)":  # no commit yet
+        return None
     return GitState(full=full, short=full[:7], dirty=dirty)
 
 

@@ -175,9 +175,6 @@ class DigestCache:
     cache that cannot be read, only makes files get re-hashed. A line
     that parses is trusted as written. `save` writes the entries this
     make used, and nothing if they are the ones it loaded.
-
-    `get` and `put` may run on several threads at once: each is a single
-    dict operation plus flag stores, so no update is lost.
     """
 
     def __init__(self, path: Path):

@@ -61,6 +61,15 @@ class TestConfigure:
         assert proc.returncode == 1
         assert "locked" in proc.stderr
 
+    def test_build_dir_under_a_regular_file_names_path(self, tmp_path):
+        # Unlike directory modes, this holds for root as well.
+        root = tiny_project(tmp_path)
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("", encoding="utf-8")
+        proc = run_cli(root, "configure", "--build-dir", str(blocker / "bd"))
+        assert proc.returncode == 1
+        assert str(blocker / "bd") in proc.stderr
+
     def test_missing_build_dir_non_interactive(self, tmp_path):
         root = tiny_project(tmp_path)
         proc = run_cli(root, "configure")
@@ -155,6 +164,37 @@ class TestMake:
         run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
         proc = run_cli(root, "make")
         assert proc.returncode == 2
+
+    def test_non_utf8_recipe_output_is_logged_and_recorded(self, tmp_path):
+        root = tiny_project(tmp_path, recipe="printf '\\377\\r\\nok\\n'; echo hi > $@")
+        build = tmp_path / "bd"
+        run_cli(root, "configure", "--build-dir", str(build))
+        proc = run_cli(root, "make")
+        assert proc.returncode == 0, proc.stderr
+        assert (build / "logs" / "out.txt.log").read_bytes() == b"\xff\r\nok\n"
+        proc = run_cli(root, "make", "--hash")  # the target was recorded
+        assert proc.returncode == 0, proc.stderr
+        assert "[built]" not in proc.stdout
+
+    def test_non_utf8_output_of_failing_recipe_exit_2(self, tmp_path):
+        root = tiny_project(tmp_path, recipe="printf '\\377\\r\\nok\\n'; exit 3")
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        proc = run_cli(root, "make")
+        assert proc.returncode == 2
+        assert "\ufffd" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_second_line_failure_log_status_and_events(self, tmp_path):
+        root = tiny_project(tmp_path, recipe="echo first; echo partial > $@\n"
+                                             "\tprintf 'second\\n' >&2; exit 5")
+        build = tmp_path / "bd"
+        run_cli(root, "configure", "--build-dir", str(build))
+        proc = run_cli(root, "make", "--log-json")
+        assert proc.returncode == 2
+        assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+            {"event": "failed", "status": 5, "target": ".build/out.txt"}]
+        assert (build / "logs" / "out.txt.log").read_bytes() == b"first\nsecond\n"
+        assert not (build / "out.txt").exists()
+        assert (build / "out.txt.failed").read_text() == "partial\n"
 
     @pytest.mark.parametrize("damage", ["truncate", "bad-epoch"])
     def test_malformed_state_line_is_skipped(self, tmp_path, damage):

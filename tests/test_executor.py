@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -55,47 +56,62 @@ def set_mtime(root: Path, name: str, ns: int) -> None:
     os.utime(root / name, ns=(ns, ns))
 
 
+def run_lines(rule: Rule, env: EnvPolicy) -> tuple[int, str]:
+    """Drive `run_recipe` to its end, waiting for each line in turn;
+    returns the last status and everything the lines wrote."""
+    with tempfile.TemporaryFile() as log:
+        steps = run_recipe(rule, env, log)
+        status = None
+        try:
+            while True:
+                status = steps.send(status).wait()
+        except StopIteration as stop:
+            status = stop.value
+        log.seek(0)
+        return status, log.read().decode()
+
+
 class TestRunRecipe:
     def test_sentinel_host_variable_is_scrubbed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOSTSENTINEL", "leaky")
         rule = R("out.txt", recipe=("printenv HOSTSENTINEL > out.txt || true",))
-        status, _ = run_recipe(rule, policy(tmp_path))
+        status, _ = run_lines(rule, policy(tmp_path))
         assert status == 0
         assert (tmp_path / "out.txt").read_text() == ""
 
     def test_whitelisted_variable_passes_through(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOSTSENTINEL", "wanted")
         rule = R("out.txt", recipe=("printenv HOSTSENTINEL > out.txt",))
-        status, _ = run_recipe(rule, policy(tmp_path, passthrough=("HOSTSENTINEL",)))
+        status, _ = run_lines(rule, policy(tmp_path, passthrough=("HOSTSENTINEL",)))
         assert status == 0
         assert (tmp_path / "out.txt").read_text() == "wanted\n"
 
     def test_empty_recipe(self, tmp_path):
         rule = Rule("group", (), (), Origin("test.wf", 1))
-        assert run_recipe(rule, policy(tmp_path)) == (0, "")
+        assert run_lines(rule, policy(tmp_path)) == (0, "")
 
     def test_first_failing_line_aborts(self, tmp_path):
         rule = R("t", recipe=("false", "touch t"))
-        status, _ = run_recipe(rule, policy(tmp_path))
+        status, _ = run_lines(rule, policy(tmp_path))
         assert status != 0
         assert not (tmp_path / "t").exists()
 
     def test_fail_fast_within_one_line(self, tmp_path):
         rule = R("t", recipe=("false; touch t",))
-        status, _ = run_recipe(rule, policy(tmp_path))
+        status, _ = run_lines(rule, policy(tmp_path))
         assert status != 0
         assert not (tmp_path / "t").exists()
 
     def test_output_captured(self, tmp_path):
         rule = R("t", recipe=("echo hello-out", "echo hello-err >&2", "touch t"))
-        status, output = run_recipe(rule, policy(tmp_path))
+        status, output = run_lines(rule, policy(tmp_path))
         assert status == 0
         assert "hello-out" in output and "hello-err" in output
 
     def test_shell_not_found(self, tmp_path):
         bad = EnvPolicy(fixed={}, workdir=str(tmp_path), shell="/no/such/shell")
         with pytest.raises(ShellNotFound):
-            run_recipe(R("t", recipe=("true",)), bad)
+            run_lines(R("t", recipe=("true",)), bad)
 
 
 class TestStaleSet:
@@ -448,3 +464,74 @@ class TestExecute:
             report = execute(graph, goal, 2, policy(root), state, root=root)
             expected = descendants(graph, victim) & ancestors(graph, goal)
             assert set(report.executed_targets()) == expected
+
+
+class TestWaitLoop:
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_live_recipes_never_exceed_jobs(self, tmp_path, jobs):
+        # Each recipe holds a marker directory under live/ while it runs and
+        # records how many markers it sees. The first `jobs` targets (the
+        # heap starts the smallest first) wait until `jobs` markers exist,
+        # so the largest count seen is exactly `jobs` if the loop fills
+        # every slot, and no count may exceed it.
+        (tmp_path / "live").mkdir()
+        names = [f"t{i:02d}" for i in range(3 * jobs + 1)]
+        rules = []
+        for i, name in enumerate(names):
+            wait = (f"n=0; while [ $(ls live | wc -l) -lt {jobs} ] && [ $n -lt 1000 ]; "
+                    "do sleep 0.01; n=$((n+1)); done; " if i < jobs else "sleep 0.02; ")
+            rules.append(R(name, recipe=(
+                f"mkdir live/{name}; {wait}ls live | wc -l > {name}; rmdir live/{name}",)))
+        rules.append(R("goal", names))
+        report = execute(build_graph(rules), "goal", jobs, policy(tmp_path), BuildState(),
+                         root=tmp_path)
+        assert len(report.executed) == len(names) + 1
+        counts = [int((tmp_path / name).read_text()) for name in names]
+        assert max(counts) == jobs
+
+    def test_non_utf8_output_is_logged_byte_for_byte(self, tmp_path):
+        build = tmp_path / "bd"
+        rules = [R("out", recipe=("printf '\\377\\r\\nok\\n'; echo hi > out",))]
+        state = BuildState()
+        report = execute(build_graph(rules), "out", 1, policy(tmp_path), state,
+                         root=tmp_path, build_dir=build)
+        assert report.executed_targets() == ["out"]
+        assert (build / "logs" / "out.log").read_bytes() == b"\xff\r\nok\n"
+        assert state.get("out") is not None
+
+    def test_non_utf8_output_of_failing_recipe(self, tmp_path):
+        rules = [R("out", recipe=("printf '\\377\\r\\nok\\n'; exit 3",))]
+        with pytest.raises(RecipeFailed) as exc:
+            execute(build_graph(rules), "out", 1, policy(tmp_path), BuildState(),
+                    root=tmp_path)
+        assert exc.value.status == 3
+        assert exc.value.output_tail == "\ufffd\r\nok\n"
+
+    def test_output_tail_is_the_end_of_the_log(self, tmp_path):
+        rules = [R("out", recipe=("printf 'x%.0s' $(seq 5000); printf '\\303\\251nd'; exit 1",))]
+        with pytest.raises(RecipeFailed) as exc:
+            execute(build_graph(rules), "out", 1, policy(tmp_path), BuildState(),
+                    root=tmp_path)
+        assert exc.value.output_tail == "x" * 1997 + "\u00e9nd"
+
+    def test_shell_not_found_mid_build_leaves_no_child(self, tmp_path):
+        # At jobs 2, "a" and "b" start; once "b" runs, "a" removes the shell
+        # and sleeps, "b" ends once the shell is gone, and starting "c"
+        # then fails while "a" still runs.
+        shell = tmp_path / "sh"
+        shell.symlink_to("/bin/sh")
+        env = EnvPolicy(fixed={"PATH": os.environ["PATH"]}, workdir=str(tmp_path),
+                        shell=str(shell))
+        rules = [
+            R("a", recipe=("echo $$ > a.pid; n=0; while [ ! -e b.started ] && [ $n -lt 1000 ]; "
+                           "do sleep 0.01; n=$((n+1)); done; rm sh; sleep 1; touch a",)),
+            R("b", recipe=("touch b.started; n=0; while [ -e sh ] && [ $n -lt 1000 ]; "
+                           "do sleep 0.01; n=$((n+1)); done; touch b",)),
+            R("c", recipe=("touch c",)),
+            R("goal", ["a", "b", "c"]),
+        ]
+        with pytest.raises(ShellNotFound):
+            execute(build_graph(rules), "goal", 2, env, BuildState(), root=tmp_path)
+        assert (tmp_path / "a").exists() and (tmp_path / "b").exists()
+        with pytest.raises(ProcessLookupError):  # reaped, not a zombie
+            os.kill(int((tmp_path / "a.pid").read_text()), 0)

@@ -193,6 +193,25 @@ class TestResolveInput:
             resolver.resolve(spec)
         assert not (tmp_path / "bd" / "inputs" / spec.filename).exists()
 
+    def test_copy_is_verified_not_its_source(self, tmp_path, monkeypatch):
+        data = b"pristine bytes\n"
+        spec = spec_for(data)
+        input_dir = tmp_path / "hostdata"
+        input_dir.mkdir()
+        (input_dir / spec.filename).write_bytes(data)
+
+        def altered_copy(src, dst):
+            with open(dst, "wb") as out:
+                out.write(b"altered in the copy\n")
+
+        monkeypatch.setattr("lineage_forge.fetch.shutil.copyfile", altered_copy)
+        resolver = InputResolver(tmp_path / "bd", input_dir, offline=True)
+        with pytest.raises(ChecksumMismatch) as exc:
+            resolver.resolve(spec)
+        assert exc.value.path == str(input_dir / spec.filename)
+        assert exc.value.stage == "input directory"
+        assert list((tmp_path / "bd" / "inputs").iterdir()) == []
+
     def test_corrupted_imported_copy_aborts(self, tmp_path):
         data = b"pristine\n"
         spec = spec_for(data)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lineage_forge import provenance
 from lineage_forge.errors import DslSyntaxError, DuplicateMacro, MissingStageMacroFile
 from lineage_forge.graph import Origin, Rule, build_graph
 from lineage_forge.provenance import (
@@ -124,6 +125,23 @@ class TestGitState:
         init_repo(tmp_path)
         (tmp_path / "new-untracked.txt").write_text("y\n", encoding="utf-8")
         assert not git_state(tmp_path).dirty
+
+    def test_repo_without_commits_returns_none(self, tmp_path):
+        (tmp_path / "f.txt").write_text("x\n", encoding="utf-8")
+        git(tmp_path, "init", "-q")
+        git(tmp_path, "add", "-A")
+        assert git_state(tmp_path) is None
+
+    def test_one_git_process(self, tmp_path, monkeypatch):
+        (tmp_path / "f.txt").write_text("x\n", encoding="utf-8")
+        init_repo(tmp_path)
+        (tmp_path / "f.txt").write_text("edited\n", encoding="utf-8")
+        calls = []
+        run = provenance.subprocess.run
+        monkeypatch.setattr(provenance.subprocess, "run",
+                            lambda *args, **kwargs: calls.append(args) or run(*args, **kwargs))
+        assert git_state(tmp_path).dirty
+        assert len(calls) == 1
 
     def test_non_repo_returns_none(self, tmp_path):
         assert git_state(tmp_path) is None
