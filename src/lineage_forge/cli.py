@@ -222,7 +222,9 @@ def _cmd_dist(root: Path, args) -> int:
 def _cmd_graph(root: Path, args) -> int:
     text = export_project_graph(root, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK

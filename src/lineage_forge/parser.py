@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import glob as globmod
 import logging
+import os
 import posixpath
 import re
 from dataclasses import dataclass, field
@@ -43,6 +44,7 @@ from .errors import (
     UndefinedVariable,
 )
 from .graph import Origin, Rule, normalize_path
+from .state import StatKey, stat_key
 
 log = logging.getLogger("lineage_forge.parser")
 
@@ -239,6 +241,17 @@ def parse_workflow(text: str, origin: str) -> ParsedFile:
 class LoadedFile:
     path: str  # relative to project root
     parsed: ParsedFile
+    stat: StatKey  # of the file as it was opened, before it was read
+    # Each include pattern in the file with the paths it matched.
+    globs: list[tuple[str, list[str]]] = field(default_factory=list)
+
+
+def include_matches(pattern: str, root: str | Path,
+                    exclude: frozenset[str] = frozenset({VERIFY_MANIFEST})) -> list[str]:
+    """The files an include pattern names: glob matches under `root`,
+    normalized, sorted lexicographically, without the paths in `exclude`."""
+    matches = (posixpath.normpath(m) for m in sorted(globmod.glob(pattern, root_dir=root)))
+    return [m for m in matches if m not in exclude]
 
 
 def flatten_statements(
@@ -265,9 +278,10 @@ def flatten_statements(
     loaded: list[LoadedFile] = []
     statements: list[object] = []
     done: set[str] = set()
-    # Per file being expanded, its items still to go, next one last.
+    # Per file being expanded, the file and its items still to go, next
+    # one last.
     in_progress: list[str] = []
-    pending: list[list[object]] = []
+    pending: list[tuple[LoadedFile, list[object]]] = []
 
     def load(rel: str, via: Origin | None) -> None:
         if rel in in_progress:
@@ -278,27 +292,28 @@ def flatten_statements(
         if not full.is_file():
             raise IncludeNotFound(rel, str(via) if via else rel)
         try:
-            text = full.read_text(encoding="utf-8")
+            with open(full, encoding="utf-8") as fh:
+                key = stat_key(os.fstat(fh.fileno()))
+                text = fh.read()
         except UnicodeDecodeError:
             raise DslSyntaxError(rel, 1, "file is not valid UTF-8") from None
         parsed = parse_workflow(text, rel)
         in_progress.append(rel)
         done.add(rel)
-        loaded.append(LoadedFile(rel, parsed))
-        pending.append(parsed.items[::-1])
+        loaded.append(LoadedFile(rel, parsed, key))
+        pending.append((loaded[-1], parsed.items[::-1]))
 
     load(posixpath.normpath(entry), None)
     while pending:
-        items = pending[-1]
+        current, items = pending[-1]
         if not items:
             pending.pop()
             in_progress.pop()
             continue
         item = items.pop()
         if isinstance(item, IncludeDirective):
-            matches = sorted(globmod.glob(item.pattern, root_dir=root))
-            matches = [posixpath.normpath(m) for m in matches]
-            matches = [m for m in matches if m not in exclude]
+            matches = include_matches(item.pattern, root, exclude)
+            current.globs.append((item.pattern, matches))
             if not matches and not item.optional:
                 raise IncludeNotFound(item.pattern, str(item.origin))
             items.extend((match, item.origin) for match in reversed(matches))

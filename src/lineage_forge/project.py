@@ -10,7 +10,9 @@ rule paths stay relative and the project stays relocatable.
 from __future__ import annotations
 
 import grp
+import itertools
 import logging
+import operator
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -30,12 +32,14 @@ from .errors import (
 from .executor import TIMESTAMP, EnvPolicy, ExecutionReport, execute
 from .fetch import InputResolver, Transport, UrllibTransport
 from .graph import BUILT, LineageGraph, Origin, Rule, ancestors, build_graph
+from .lineage_cache import LINEAGE_RELPATH, LineageCache
 from .parser import (
     DEFAULT_ENTRY,
     INPUTS_MANIFEST,
     VERIFY_MANIFEST,
     ConfigParam,
     InputSpec,
+    RuleTemplate,
     build_env,
     flatten_statements,
     instantiate_rules,
@@ -69,6 +73,7 @@ BUILD_LINK = ".build"
 GOAL_ALIAS = "all"
 BUILD_SUBDIRS = ("inputs", "logs", "state", "tex")
 AGGREGATE_RELPATH = "tex/project.tex"
+BIBLIOGRAPHY_RELPATH = "tex/software.bib"
 
 EventCallback = Callable[[dict], None]
 
@@ -148,36 +153,34 @@ class Project:
     input_specs: list[InputSpec] = field(default_factory=list)
 
     @classmethod
-    def load(cls, root: str | Path, entry: str = DEFAULT_ENTRY) -> "Project":
+    def load(cls, root: str | Path, entry: str = DEFAULT_ENTRY, *,
+             build_dir: str | Path | None = None) -> "Project":
+        """Parse the project. With `build_dir`, the result is looked up in
+        and written to `<build>/state/lineage.json` (see `LineageCache`):
+        while no DSL file changed, nothing is parsed."""
         root = Path(root)
+        cache = None if build_dir is None else LineageCache.load(build_dir, root, entry)
+        if cache is not None and cache.hit:
+            goal, rules = _split_goal(cache.rules, entry)
+            return cls(root=root, entry=entry, env=cache.env, rules=rules,
+                       graph=cache.graph(rules), goal=goal,
+                       stages=_stages(entry, cache.files), input_specs=cache.input_specs)
+
         files, statements = flatten_statements(entry, root)
         env = build_env(statements, builtins={"BDIR": BUILD_LINK})
-        all_rules = instantiate_rules(statements, env)
-
-        goal = None
-        rules: list[Rule] = []
-        for rule in all_rules:
-            if rule.target == GOAL_ALIAS and not rule.recipe and goal is None:
-                if len(rule.prerequisites) != 1:
-                    raise LineageError(
-                        f"{rule.origin}: the '{GOAL_ALIAS}' goal alias must name exactly "
-                        "one prerequisite"
-                    )
-                goal = rule.prerequisites[0]
-                continue
-            rules.append(rule)
-        if goal is None:
-            if not rules:
-                raise LineageError(f"{entry}: project defines no rules")
-            goal = rules[0].target
-
-        graph = build_graph(rules)
-        entry_suffix = Path(entry).suffix
-        stages = [
-            Path(f.path).stem
-            for f in files
-            if f.path != entry and Path(f.path).suffix == entry_suffix
-        ]
+        templates = [item for item in statements if isinstance(item, RuleTemplate)]
+        reused = ([None] * len(templates) if cache is None
+                  else cache.reusable(files, templates, env))
+        todo = [t for t, rules in zip(templates, reused) if rules is None]
+        # Each template expands to one or more rules, all with its origin.
+        new = (list(group) for _origin, group in
+               itertools.groupby(instantiate_rules(todo, env), operator.attrgetter("origin")))
+        expanded = [next(new) if rules is None else rules for rules in reused]
+        goal, rules = _split_goal([r for rules in expanded for r in rules], entry)
+        if cache is not None and cache.same_graph(expanded):
+            graph = cache.graph(rules)
+        else:
+            graph = build_graph(rules)
 
         inputs_params: list[ConfigParam] = []
         for loaded in files:
@@ -188,6 +191,8 @@ class Project:
                 inputs_params = list(latest.values())
         input_specs = parse_inputs_manifest(inputs_params) if inputs_params else []
 
+        if cache is not None:
+            cache.save(entry, files, env, expanded, input_specs, graph)
         return cls(
             root=root,
             entry=entry,
@@ -195,7 +200,7 @@ class Project:
             rules=rules,
             graph=graph,
             goal=goal,
-            stages=stages,
+            stages=_stages(entry, [f.path for f in files]),
             input_specs=input_specs,
         )
 
@@ -210,6 +215,35 @@ class Project:
             target = f"{BUILD_LINK}/{rel}"
             if target not in self.graph.rules:
                 raise MissingStageMacroFile(stage, target)
+
+
+def _split_goal(all_rules: list[Rule], entry: str) -> tuple[str, list[Rule]]:
+    """The goal and the rules without the `all` alias naming it; the goal
+    is the first rule's target when there is no alias."""
+    goal = None
+    rules: list[Rule] = []
+    for rule in all_rules:
+        if rule.target == GOAL_ALIAS and not rule.recipe and goal is None:
+            if len(rule.prerequisites) != 1:
+                raise LineageError(
+                    f"{rule.origin}: the '{GOAL_ALIAS}' goal alias must name exactly "
+                    "one prerequisite"
+                )
+            goal = rule.prerequisites[0]
+            continue
+        rules.append(rule)
+    if goal is None:
+        if not rules:
+            raise LineageError(f"{entry}: project defines no rules")
+        goal = rules[0].target
+    return goal, rules
+
+
+def _stages(entry: str, paths: list[str]) -> list[str]:
+    """The stage names: the loaded workflow files other than the entry, in
+    load order."""
+    suffix = Path(entry).suffix
+    return [Path(p).stem for p in paths if p != entry and Path(p).suffix == suffix]
 
 
 def configure(
@@ -344,7 +378,7 @@ def _emit_bibliography(root: Path, build_dir: Path, entries: list) -> Path | Non
             chunks.append(fragment.read_text(encoding="utf-8"))
     if not chunks:
         return None
-    out = build_dir / "tex" / "software.bib"
+    out = build_dir / BIBLIOGRAPHY_RELPATH
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("".join(chunks), encoding="utf-8")
     return out
@@ -366,12 +400,14 @@ def run_make(
 
     Every digest of a large file goes through one DigestCache, loaded
     here and saved once all hashing is done."""
+    if jobs is not None and jobs < 1:
+        raise UsageError("jobs must be >= 1")
     root = Path(root)
     config = LocalConfig.load(root)
     group_gid = _group_gid(config.group)
     build_dir = Path(config.build_dir)
     cache = DigestCache.load(build_dir)
-    project = Project.load(root)
+    project = Project.load(root, build_dir=build_dir)
     project.macro_targets_declared()
 
     the_goal = goal or project.goal
@@ -546,7 +582,9 @@ def run_record(
 
 
 def clean(root: str | Path) -> list[str]:
-    """Delete built targets (and execution byproducts); keep inputs."""
+    """Delete built targets and the engine's byproducts: the macro
+    aggregate, the bibliography, the build state, both caches and the
+    logs. Keep inputs."""
     root = Path(root)
     config = LocalConfig.load(root)
     build_dir = Path(config.build_dir)
@@ -564,8 +602,8 @@ def clean(root: str | Path) -> list[str]:
     if aggregate.exists():
         aggregate.unlink()
         removed.append(str(aggregate))
-    (build_dir / STATE_RELPATH).unlink(missing_ok=True)
-    (build_dir / DIGESTS_RELPATH).unlink(missing_ok=True)
+    for byproduct in (BIBLIOGRAPHY_RELPATH, STATE_RELPATH, DIGESTS_RELPATH, LINEAGE_RELPATH):
+        (build_dir / byproduct).unlink(missing_ok=True)
     logs = build_dir / "logs"
     if logs.is_dir():
         shutil.rmtree(logs)

@@ -9,11 +9,15 @@ write, a hand edit) is skipped with a warning; that can only make its
 target rebuild.
 
 `digests.tsv` caches the digests of large files for one `make` to the
-next (see DigestCache); it may be deleted at any time.
+next (see DigestCache); it may be deleted at any time. So may
+`lineage.json`, the parsed project (see `lineage_cache.py`). Both
+caches trust a file by its StatKey under one racy rule (`trusted`) and
+are written by one replacing writer (`replace_file`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import os
@@ -35,6 +39,38 @@ StatKey = tuple[int, int, int, int, int]
 DigestKey = tuple[str, str, bytes | None]
 
 
+def stat_key(st: os.stat_result) -> StatKey:
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def trusted(current: StatKey, recorded: StatKey, written_ns: int) -> bool:
+    """Whether a file whose StatKey was `recorded` in a cache written at
+    `written_ns` (the cache file's mtime) is unchanged. The key must be
+    equal, and its mtime and ctime strictly older than the cache: a file
+    changed in the clock tick the cache was written in could change again
+    in that tick without changing its StatKey (git's racy-timestamp
+    rule). ctime counts too because `os.utime` can set mtime back, and
+    nothing can set ctime."""
+    return current == recorded and max(current[3:]) < written_ns
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write `data` to a temp file in `path`'s directory and rename it
+    over `path`, so a reader never sees half a file. It is created with
+    the umask's mode, as build-state.tsv is, so a shared build group can
+    read it. Only caches are written this way: there is no fsync, and a
+    write that fails is logged, not raised."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # nor may its directory exist
+            tmp.unlink()
+        log.warning("%s: could not write the cache: %s", path, exc)
+
+
 def file_digest(path: str | Path, algorithm: str = "sha256",
                 strip_prefix: bytes | None = None, *,
                 cache: DigestCache | None = None) -> str:
@@ -52,8 +88,8 @@ def file_digest(path: str | Path, algorithm: str = "sha256",
             st = os.fstat(fh.fileno())
             if st.st_size >= CHUNK_SIZE:
                 key = (os.path.abspath(path), algorithm, strip_prefix)
-                stat_key = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-                digest = cache.get(key, stat_key)
+                key_now = stat_key(st)
+                digest = cache.get(key, key_now)
                 if digest is not None:
                     return digest
         h = hashlib.new(algorithm)
@@ -62,7 +98,7 @@ def file_digest(path: str | Path, algorithm: str = "sha256",
             h.update(chunk)
     digest = h.hexdigest()
     if key is not None:
-        cache.put(key, stat_key, digest)
+        cache.put(key, key_now, digest)
     return digest
 
 
@@ -166,12 +202,8 @@ class DigestCache:
 
     One line per entry: absolute path, algorithm, strip prefix (hex, `-`
     for none), the five StatKey fields, digest. An entry is trusted only
-    while the file's StatKey is unchanged and its mtime and ctime are
-    both strictly older than the cache file's mtime, as read at load: a
-    file changed in the clock tick the cache was written in could change
-    again in that tick without changing its StatKey (git's racy-timestamp
-    rule). The rule reads ctime too because `os.utime` can set mtime
-    back, and nothing can set ctime. A line that does not parse, or a
+    while the file's StatKey passes `trusted` against the cache file's
+    mtime, as read at load. A line that does not parse, or a
     cache that cannot be read, only makes files get re-hashed. A line
     that parses is trusted as written. `save` writes the entries this
     make used, and nothing if they are the ones it loaded.
@@ -214,7 +246,7 @@ class DigestCache:
 
     def get(self, key: DigestKey, stat_key: StatKey) -> str | None:
         entry = self._loaded.get(key)
-        if entry is None or entry[0] != stat_key or max(stat_key[3:]) >= self._written_ns:
+        if entry is None or not trusted(stat_key, entry[0], self._written_ns):
             return None
         self._used[key] = entry
         return entry[1]
@@ -233,14 +265,4 @@ class DigestCache:
             fields = [path, algorithm, "-" if prefix is None else prefix.hex(),
                       *map(str, stat_key), digest]
             lines.append(os.fsencode("\t".join(fields)) + b"\n")
-        # A temp file in the same directory, renamed over the cache, so a
-        # reader never sees half a file; it is created with the umask's
-        # mode, as build-state.tsv is, so a shared build group can read it.
-        tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}")
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(b"".join(sorted(lines)))
-            os.replace(tmp, self.path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            log.warning("%s: could not write the digest cache: %s", self.path, exc)
+        replace_file(self.path, b"".join(sorted(lines)))

@@ -65,6 +65,24 @@ def test_every_wrapped_span_fires(tmp_path):
     assert sorted({name for _, _, name, _ in TRACING_MODULE.WRAPS} - recorded) == []
 
 
+def test_second_make_parses_nothing(tmp_path):
+    root = tmp_path / "proj"
+    create_demo_project(root)
+    init_repo(root)
+    project.configure(root, tmp_path / "build", input_dir="data")
+    project.run_make(root, offline=True)
+    tracer = TRACING_MODULE.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("make")
+        project.run_make(root, offline=True)
+    finally:
+        tracer.uninstall()
+    recorded = {span.name for span in tracer.spans}
+    assert "project.Project.load" in recorded
+    assert sorted(n for n in recorded if n.startswith("parser.") or n == "graph.build_graph") == []
+
+
 def test_perfbench_own_tests_pass():
     # A subprocess: perfbench/tests has its own conftest.py, which cannot
     # share one collection with tests/conftest.py.

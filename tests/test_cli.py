@@ -120,6 +120,14 @@ class TestMake:
         assert proc.returncode == 1
         assert ".local-config" in proc.stderr and repr(jobs) in proc.stderr
 
+    def test_zero_jobs_exits_64_before_resolving_inputs(self, demo_project):
+        proc = run_cli(demo_project, "make", "--offline", "--jobs", "0", "--log-json")
+        assert proc.returncode == 64
+        assert "jobs must be >= 1" in proc.stderr
+        assert proc.stdout == ""  # no input event, nor any other
+        build = demo_project / ".build"
+        assert list((build / "inputs").iterdir()) == list((build / "state").iterdir()) == []
+
     def test_recorded_group_since_deleted_exit_1(self, tmp_path):
         root = tiny_project(tmp_path)
         run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
@@ -265,6 +273,12 @@ class TestGraph:
         assert proc.returncode == 0
         assert json.loads(out.read_text())["nodes"]
 
+    def test_out_file_in_a_missing_directory(self, demo_project, tmp_path):
+        out = tmp_path / "no" / "such" / "dir" / "lineage.dot"
+        proc = run_cli(demo_project, "graph", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().startswith("digraph")
+
     def test_works_without_configure(self, demo_project_unconfigured):
         proc = run_cli(demo_project_unconfigured, "graph", "--format", "json")
         assert proc.returncode == 0
@@ -330,6 +344,9 @@ class TestCleanAndDemo:
         assert not (build / "report.txt").exists()
         assert not (build / "tex" / "project.tex").exists()
         assert (build / "inputs" / "demo-papers.csv").exists()
+        # the engine's byproducts go too; inputs and empty directories stay
+        left = sorted(str(p.relative_to(build)) for p in build.rglob("*") if p.is_file())
+        assert left == ["inputs/demo-papers.csv"]
         # next make rebuilds from the kept inputs
         assert run_cli(demo_project, "make").returncode == 0
 
