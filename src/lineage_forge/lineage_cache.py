@@ -10,9 +10,8 @@ This cache keeps what one such load found, keyed by:
 * the format number, the engine's `__version__` and the entry file.
 
 While the whole key holds, nothing is parsed. When it does not, the
-project is parsed again; `reusable` hands back the cached rules of every
-template that need not be expanded again, and the cached topological
-order is kept when `same_graph` finds no target or prerequisite changed.
+project is parsed again and `reusable` hands back the cached rules of
+every template that need not be expanded again; the graph is built anew.
 
 The file is one JSON object, written by `state.replace_file`. A missing,
 truncated or malformed file, or one of another format or version, is
@@ -26,20 +25,15 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import re
 from pathlib import Path
 
 from . import __version__
 from .graph import BUILT, SOURCE, LineageGraph, Origin, Rule
-from .parser import InputSpec, LoadedFile, RuleTemplate, include_matches
+from .parser import InputSpec, LoadedFile, RuleTemplate, include_matches, references
 from .state import StatKey, replace_file, stat_key, trusted
 
 LINEAGE_RELPATH = "state/lineage.json"
-FORMAT = 1
-# `$(NAME)` as written. Expansion never rescans its output, so a template
-# or a value reads a variable only through this text; `$$(NAME)` matches
-# too, which only re-expands a template that did not need it.
-_REFERENCE_RE = re.compile(r"\$\(([^)]*)\)")
+FORMAT = 2
 
 
 def _texts(value: object) -> list[str]:
@@ -54,9 +48,10 @@ class LineageCache:
 
     On a hit, `rules` holds every rule the templates expanded to, in
     order, and `files`, `env`, `input_specs` and `order` what the load
-    that wrote the cache found. On a miss, `env`, `order` and the rules
-    of each template, by file and line, are kept for `reusable` and
-    `same_graph`. A cache that could not be used holds nothing."""
+    that wrote the cache found. On a miss, `env` and, by file and line,
+    the rules of each template with the item they were decoded from are
+    kept for `reusable` and `save`. A cache that could not be used holds
+    nothing."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -68,7 +63,7 @@ class LineageCache:
         self.order: list[str] = []
         self._keys: dict[str, StatKey] = {}
         self._written_ns = 0
-        self._templates: dict[tuple[str, int], list[Rule]] = {}
+        self._templates: dict[tuple[str, int], tuple[list[Rule], list]] = {}
 
     @classmethod
     def load(cls, build_dir: str | Path, root: Path, entry: str) -> "LineageCache":
@@ -112,12 +107,13 @@ class LineageCache:
         # called on a string, and `join` unless every item is one.
         join = "".join
         rules: list[Rule] = []
-        templates: dict[tuple[str, int], list[Rule]] = {}
+        templates: dict[tuple[str, int], tuple[list[Rule], list]] = {}
         for path, items in doc["rules"]:
             if type(path) is not str:
                 raise ValueError("malformed origin")
-            for line, targets, prereqs, *recipes in items:
-                if type(line) is not int:
+            for item in items:
+                line, reads, targets, prereqs, *recipes = item
+                if type(line) is not int or type(reads) is not str:
                     raise ValueError("malformed template")
                 join(recipes)
                 origin = Origin(path, line)
@@ -125,10 +121,9 @@ class LineageCache:
                 expanded = [Rule(target, prereqs, tuple(recipe.split("\n")[1:]), origin)
                             for target, recipe in zip(str.split(targets), recipes, strict=True)]
                 rules += expanded
-                templates[path, line] = expanded
+                templates[path, line] = expanded, item
         self.files = list(keys)
         self.env = env
-        self.order = _texts(doc["order"])
         if not unchanged:
             self._keys, self._written_ns, self._templates = keys, written_ns, templates
             return
@@ -138,25 +133,12 @@ class LineageCache:
                     and type(pin[5]) is not str:
                 raise ValueError("malformed input pin")
             self.input_specs.append(InputSpec(*_texts(pin[:5]), size_hint=pin[5]))
+        self.order = _texts(doc["order"])
         self.rules = rules
         self.hit = True
 
-    def same_graph(self, expanded: list[list[Rule]]) -> bool:
-        """Whether the rules of each template, `expanded`, make the cached
-        graph: the templates are as many as the cached ones, and each has
-        the targets and prerequisites cached for its file and line."""
-        if len(expanded) != len(self._templates):
-            return False
-        for rules in expanded:
-            cached = self._templates.get((rules[0].origin.path, rules[0].origin.line))
-            if cached is not rules and (cached is None or [
-                (r.target, r.prerequisites) for r in cached
-            ] != [(r.target, r.prerequisites) for r in rules]):
-                return False
-        return True
-
     def graph(self, rules: list[Rule]) -> LineageGraph:
-        """The cached graph over `rules`, the rules of the cached templates
+        """On a hit, the cached graph over `rules`: the cached rules
         without the goal alias. `order` lists every node."""
         by_target = {rule.target: rule for rule in rules}
         nodes = {node: BUILT if node in by_target else SOURCE for node in sorted(self.order)}
@@ -166,16 +148,16 @@ class LineageCache:
                  env: dict[str, str]) -> list[list[Rule] | None]:
         """Per template, its cached rules if it expands as it did, else
         None. It does when the cache trusts its file unchanged, as `files`
-        read it, so its text and origin are too, and it writes no `$(N)`
-        for any N whose value is affected. Affected are the names whose
-        value changed, and then every name whose old or new value writes
-        `$(N)` for an affected N."""
+        read it, so its text and origin are too, and it reads no variable
+        whose value is affected. Affected are the names whose value
+        changed, and then every name whose old or new value reads an
+        affected one."""
         unchanged = {f.path for f in files if f.path in self._keys
                      and trusted(f.stat, self._keys[f.path], self._written_ns)}
         users: dict[str, set[str]] = {}
         for name in self.env.keys() | env.keys():
             for value in (self.env.get(name, ""), env.get(name, "")):
-                for ref in _REFERENCE_RE.findall(value):
+                for ref in references(value):
                     users.setdefault(ref, set()).add(name)
         todo = [n for n in self.env.keys() | env.keys() if self.env.get(n) != env.get(n)]
         affected = set(todo)
@@ -184,29 +166,38 @@ class LineageCache:
                 if user not in affected:
                     affected.add(user)
                     todo.append(user)
-        needles = [f"$({name})" for name in affected]
         reused: list[list[Rule] | None] = []
         for t in templates:
-            rules = None
-            if t.origin.path in unchanged and not any(
-                needle in text for text in (t.target_text, t.prereq_text, *t.recipe)
-                for needle in needles
-            ):
-                rules = self._templates.get((t.origin.path, t.origin.line))
-            reused.append(rules)
+            rules, item = None, None
+            if t.origin.path in unchanged:
+                rules, item = self._templates.get((t.origin.path, t.origin.line), (None, None))
+            reused.append(rules if item and affected.isdisjoint(item[1].split()) else None)
         return reused
 
     def save(self, entry: str, files: list[LoadedFile], env: dict[str, str],
-             expanded: list[list[Rule]], input_specs: list[InputSpec],
-             graph: LineageGraph) -> None:
+             templates: list[RuleTemplate], expanded: list[list[Rule]],
+             input_specs: list[InputSpec], graph: LineageGraph) -> None:
         """Write what one load found; `expanded` holds the rules of each
-        template, in order.
+        template, in order, as `reusable` handed them back or as they were
+        expanded again.
 
-        The rules of a template are one list under its file: its line,
-        its targets and its prerequisites joined by spaces, then each
-        target's recipe with a newline before every line. Expanded paths
-        hold no whitespace and expanded recipe lines no newline, so both
-        split back exactly."""
+        The rules of a template are one item under its file: its line,
+        the names its texts read, its targets and its prerequisites, each
+        joined by spaces, then each target's recipe with a newline before
+        every line. Names and expanded paths hold no whitespace and
+        expanded recipe lines no newline, so all split back exactly.
+        Reused rules keep the item they were decoded from."""
+
+        def item(t: RuleTemplate, rules: list[Rule]) -> list:
+            cached, cached_item = self._templates.get((t.origin.path, t.origin.line), (None, None))
+            if cached is rules:
+                return cached_item
+            reads = set().union(*map(references, (t.target_text, t.prereq_text, *t.recipe)))
+            return [t.origin.line, " ".join(sorted(reads)), " ".join([r.target for r in rules]),
+                    " ".join(rules[0].prerequisites),
+                    *["".join(["\n" + line for line in r.recipe]) for r in rules]]
+
+        pairs = zip(templates, expanded, strict=True)
         doc = {
             "format": FORMAT,
             "version": __version__,
@@ -215,11 +206,8 @@ class LineageCache:
             "globs": [glob for f in files for glob in f.globs],
             "env": env,
             "rules": [
-                [path, [[rules[0].origin.line, " ".join([r.target for r in rules]),
-                         " ".join(rules[0].prerequisites),
-                         *["".join(["\n" + line for line in r.recipe]) for r in rules]]
-                        for rules in group]]
-                for path, group in itertools.groupby(expanded, lambda rules: rules[0].origin.path)
+                [path, [item(*pair) for pair in group]]
+                for path, group in itertools.groupby(pairs, lambda pair: pair[0].origin.path)
             ],
             "inputs": [[s.name, s.filename, s.algorithm, s.digest, s.url, s.size_hint]
                        for s in input_specs],

@@ -338,6 +338,14 @@ def build_env(
     return env
 
 
+def references(text: str) -> set[str]:
+    """Every NAME that `text` reads as `$(NAME)`. Expansion never rescans
+    its output, so a text reads a variable through these alone; `$$(NAME)`
+    reads none."""
+    return {name for _dollar, name, _unclosed, _automatic in REFERENCE_RE.findall(text)
+            if name}
+
+
 def expand(
     template: str,
     env: dict[str, str],

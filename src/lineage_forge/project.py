@@ -177,10 +177,7 @@ class Project:
                itertools.groupby(instantiate_rules(todo, env), operator.attrgetter("origin")))
         expanded = [next(new) if rules is None else rules for rules in reused]
         goal, rules = _split_goal([r for rules in expanded for r in rules], entry)
-        if cache is not None and cache.same_graph(expanded):
-            graph = cache.graph(rules)
-        else:
-            graph = build_graph(rules)
+        graph = build_graph(rules)
 
         inputs_params: list[ConfigParam] = []
         for loaded in files:
@@ -192,7 +189,7 @@ class Project:
         input_specs = parse_inputs_manifest(inputs_params) if inputs_params else []
 
         if cache is not None:
-            cache.save(entry, files, env, expanded, input_specs, graph)
+            cache.save(entry, files, env, templates, expanded, input_specs, graph)
         return cls(
             root=root,
             entry=entry,

@@ -186,6 +186,39 @@ def rename_variable(root: Path, build: Path, n: int) -> None:
                         encoding="utf-8")
 
 
+def toggle_alias_recipe(root: Path, build: Path, n: int) -> None:
+    """Give a workflow file's `all:` rule a recipe line, or take it away,
+    or give the file an `all:` rule: an `all:` rule is the goal alias
+    only while its recipe is empty and no earlier one is."""
+    files = [p for p in dsl_files(root) if p.suffix == ".wf"]
+    if not files:
+        return
+    path = files[n % len(files)]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = next((i for i, line in enumerate(lines) if line.startswith("all:")), None)
+    if at is None:
+        lines += ["", "all: $(BDIR)/end.txt"]
+    elif lines[at + 1:at + 2] and lines[at + 1].startswith("\t"):
+        del lines[at + 1]
+    else:
+        lines.insert(at + 1, "\ttrue")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def swap_includes(root: Path, build: Path, n: int) -> None:
+    """Swap two include lines of the entry file."""
+    path = root / DEFAULT_ENTRY
+    if not path.is_file():
+        return
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = [i for i, line in enumerate(lines) if line.startswith("include ")]
+    if len(at) < 2:
+        return
+    i, j = at[n % len(at)], at[n // 7 % len(at)]
+    lines[i], lines[j] = lines[j], lines[i]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def remove_stage(root: Path, build: Path, n: int) -> None:
     stages = [p for p in dsl_files(root) if p.suffix == ".wf" and p.name != "top.wf"]
     if stages:
@@ -256,8 +289,8 @@ def garble_cache(root: Path, build: Path, n: int) -> None:
     cache.write_bytes(garbled)
 
 
-EDITS = [change_value, add_conf, remove_conf, add_rule, rename_variable, remove_stage,
-         rewrite_same_size, edit_in_cache_tick, garble_cache]
+EDITS = [change_value, add_conf, remove_conf, add_rule, rename_variable, toggle_alias_recipe,
+         swap_includes, remove_stage, rewrite_same_size, edit_in_cache_tick, garble_cache]
 STEPS = st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10_000)), max_size=8)
 
 
@@ -329,6 +362,39 @@ class TestErrors:
         cached, uncached = cached_then_edited(*tiny, rel, text)
         assert cached == uncached
         assert cached[1] == error.__name__
+
+
+class TestGoalAlias:
+    """Which rule is the goal alias can change while every template keeps
+    its targets and prerequisites."""
+
+    TOP = f"{MAKE_DIR}/top.wf"
+
+    def test_recipe_added_then_removed_under_the_alias(self, tiny):
+        root, build = tiny
+        plain = TINY[self.TOP]
+        with_recipe = plain.replace("all: $(BDIR)/end.txt\n", "all: $(BDIR)/end.txt\n\ttrue\n")
+        for text, goal in [(with_recipe, "all"), (plain, ".build/end.txt")]:
+            cached, uncached = cached_then_edited(root, build, self.TOP, text)
+            assert cached == uncached
+            assert cached[-1] == goal
+        wait_past(root, build.parent / "probe")
+        assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+        assert outcome(root, build) == outcome(root)
+
+    def test_includes_swapped_between_two_aliases(self, tiny):
+        root, build = tiny
+        # Only while two.wf's `all:` is a plain rule is zz.txt a node.
+        for name, goal in [("one.wf", "$(BDIR)/in.txt"), ("two.wf", "zz.txt")]:
+            with open(root / MAKE_DIR / name, "a", encoding="utf-8") as fh:
+                fh.write(f"\nall: {goal}\n")
+        top = TINY[self.TOP].replace("all: $(BDIR)/end.txt\n", "")
+        (root / self.TOP).write_text(top, encoding="utf-8")
+        one, two = f"include {MAKE_DIR}/one.wf\n", f"include {MAKE_DIR}/two.wf?\n"
+        swapped = top.replace(one + two, two + one)
+        cached, uncached = cached_then_edited(root, build, self.TOP, swapped)
+        assert cached == uncached
+        assert cached[-1] == "zz.txt"
 
 
 class TestHitAndMiss:
