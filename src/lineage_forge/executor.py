@@ -124,7 +124,7 @@ def run_recipe(rule: Rule, env: EnvPolicy,
 _ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
 
 
-def _mtime(path: Path) -> int | None:
+def _mtime(path: str) -> int | None:
     """Modification time in ns, or None where `Path.exists()` is False."""
     try:
         return os.stat(path).st_mtime_ns
@@ -134,6 +134,18 @@ def _mtime(path: Path) -> int | None:
         raise
     except ValueError:  # e.g. an embedded NUL byte
         return None
+
+
+def _digest_or_empty(path: str, cache: DigestCache | None) -> str:
+    """The file's digest, or "" where `Path.exists()` is False."""
+    try:
+        return file_digest(path, cache=cache)
+    except OSError as exc:
+        if exc.errno in _ABSENT_ERRNOS:
+            return ""
+        raise
+    except ValueError:
+        return ""
 
 
 def stale_set(
@@ -153,11 +165,13 @@ def stale_set(
     `ancestors(graph, goal)` when the caller has it already; `cache` is
     passed to every `file_digest` call.
     """
-    root = Path(root)
+    # Graph paths are normalized and relative, so `prefix + node` names
+    # the file `root / node` does, without building a Path per node.
+    prefix = os.path.join(root, "")
     if closure is None:
         closure = ancestors(graph, goal)
     order = [n for n in graph.order if n in closure]
-    mtime = {n: _mtime(root / n) for n in order}  # None: missing
+    mtime = {n: _mtime(prefix + n) for n in order}  # None: missing
 
     missing = [n for n in order if mtime[n] is None and graph.nodes[n] == SOURCE]
     if missing:
@@ -171,7 +185,7 @@ def stale_set(
             return True
         for prereq, recorded in zip(rule.prerequisites, rec.prereq_digests):
             if prereq not in digests:
-                digests[prereq] = file_digest(root / prereq, cache=cache)
+                digests[prereq] = file_digest(prefix + prereq, cache=cache)
             if digests[prereq] != recorded:
                 return True
         return False
@@ -185,13 +199,15 @@ def stale_set(
         rule = graph.rules.get(target)
         if rule is None:
             continue
-        if (
-            mtime[target] is None
-            or not stale.isdisjoint(rule.prerequisites)
-            or (mode == TIMESTAMP
-                and any(mtime[p] > mtime[target] for p in rule.prerequisites))
-            or (mode == DIGEST and digest_changed(rule))
-        ):
+        built = mtime[target]
+        if built is None or not stale.isdisjoint(rule.prerequisites):
+            stale.add(target)
+        elif mode == TIMESTAMP:
+            for prereq in rule.prerequisites:  # a loop, not a generator per rule
+                if mtime[prereq] > built:
+                    stale.add(target)
+                    break
+        elif mode == DIGEST and digest_changed(rule):
             stale.add(target)
     return stale
 
@@ -238,7 +254,7 @@ def execute(
     """
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
-    root = Path(root)
+    prefix = os.path.join(root, "")
     build_path = Path(build_dir) if build_dir else None
 
     closure = ancestors(graph, goal)
@@ -306,8 +322,8 @@ def execute(
             target, status, log, started, finished = done.popleft()
             with log:
                 rule = graph.rules[target]
-                tpath = root / target
-                if status == 0 and (not rule.recipe or tpath.exists()):
+                tpath = prefix + target
+                if status == 0 and (not rule.recipe or os.path.exists(tpath)):
                     # Release dependents and refill the slots first, so
                     # recipes run while this target is recorded.
                     for dep in dependents[target]:
@@ -317,9 +333,9 @@ def execute(
                     fill()
                     seconds = finished - started
                     report.executed.append(ExecutedTarget(target, 0, seconds, started, finished))
-                    if group_gid is not None and tpath.exists():
+                    if group_gid is not None and os.path.exists(tpath):
                         _apply_group(tpath, group_gid)
-                    _record(state, rule, root, tpath, cache)
+                    _record(state, rule, prefix, tpath, cache)
                     if on_event:
                         on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
                     continue
@@ -329,8 +345,8 @@ def execute(
                                            "recipe" if status else "not-produced")
                     failure_exc = (RecipeFailed(target, status, tail) if status
                                    else TargetNotProduced(target))
-                if status != 0 and tpath.exists():
-                    tpath.rename(str(tpath) + ".failed")
+                if status != 0 and os.path.exists(tpath):
+                    os.rename(tpath, tpath + ".failed")
                 if on_event:
                     on_event({"event": "failed", "target": target, "status": status})
     finally:
@@ -349,27 +365,25 @@ def execute(
     return report
 
 
-def _record(state: BuildState, rule: Rule, root: Path, tpath: Path,
+def _record(state: BuildState, rule: Rule, prefix: str, tpath: str,
             cache: DigestCache | None) -> None:
-    target_digest = file_digest(tpath, cache=cache) if tpath.exists() else ""
-    prereq_digests = []
-    for prereq in rule.prerequisites:
-        ppath = root / prereq
-        prereq_digests.append(file_digest(ppath, cache=cache) if ppath.exists() else "")
+    """Record the target's digest and its prerequisites', each "" for a
+    path that is missing (see `state.py`)."""
     state.put(
         TargetRecord(
             target=rule.target,
             built_at=int(time.time()),
-            target_digest=target_digest,
-            prereq_digests=tuple(prereq_digests),
+            target_digest=_digest_or_empty(tpath, cache),
+            prereq_digests=tuple(_digest_or_empty(prefix + p, cache)
+                                 for p in rule.prerequisites),
         )
     )
 
 
-def _apply_group(path: Path, gid: int) -> None:
+def _apply_group(path: str, gid: int) -> None:
     try:
         os.chown(path, -1, gid)
     except (PermissionError, OSError):
         pass
-    mode = path.stat().st_mode
+    mode = os.stat(path).st_mode
     os.chmod(path, mode | 0o060)  # group rw

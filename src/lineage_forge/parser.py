@@ -292,7 +292,8 @@ def flatten_statements(
         if not full.is_file():
             raise IncludeNotFound(rel, str(via) if via else rel)
         try:
-            with open(full, encoding="utf-8") as fh:
+            # No newline translation: parse_workflow must see any CR.
+            with open(full, encoding="utf-8", newline="") as fh:
                 key = stat_key(os.fstat(fh.fileno()))
                 text = fh.read()
         except UnicodeDecodeError:

@@ -4,9 +4,13 @@
 last successful build, the target's content digest, and the
 semicolon-joined digests of its prerequisites as they were at build time
 (in rule order). Digests are lowercase hex SHA-256; digest-mode
-staleness compares against them. A line that does not parse (a truncated
-write, a hand edit) is skipped with a warning; that can only make its
-target rebuild.
+staleness compares against them. A prerequisite that was missing when
+the target was recorded is written as an empty digest, and `load` drops
+empty digests, so the record holds fewer digests than the rule has
+prerequisites and its target is always stale under `--hash` until it is
+rebuilt with every prerequisite present. A line that does not parse (a
+truncated write, a hand edit) is skipped with a warning; that can only
+make its target rebuild.
 
 `digests.tsv` caches the digests of large files for one `make` to the
 next (see DigestCache); it may be deleted at any time. So may
@@ -24,7 +28,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 log = logging.getLogger("lineage_forge.state")
 
@@ -124,8 +128,7 @@ def _strip_lines(chunks: Iterable[bytes], prefix: bytes) -> Iterator[bytes]:
         yield carry[skip:]
 
 
-@dataclass(frozen=True)
-class TargetRecord:
+class TargetRecord(NamedTuple):
     target: str
     built_at: int
     target_digest: str
@@ -156,22 +159,19 @@ class BuildState:
         state = cls()
         if not path.is_file():
             return state
+        records = state.records
         for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
             if not raw.strip():
                 continue
             try:
                 target, epoch, tdigest, prereqs = raw.decode("utf-8").split("\t")
-                record = TargetRecord(
-                    target=target,
-                    built_at=int(epoch),
-                    target_digest=tdigest,
-                    prereq_digests=tuple(d for d in prereqs.split(";") if d),
-                )
+                digests = prereqs.split(";")
+                if "" in digests:  # a missing prerequisite's digest
+                    digests = [d for d in digests if d]
+                records[target] = TargetRecord(target, int(epoch), tdigest, tuple(digests))
             except ValueError:
                 log.warning("%s:%d: skipping malformed build-state record", path, lineno)
                 state.changed = True  # the next save drops the line
-                continue
-            state.records[record.target] = record
         return state
 
     def save(self, build_dir: str | Path) -> None:

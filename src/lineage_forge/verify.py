@@ -11,6 +11,7 @@ diffed without touching recipes.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,8 +91,9 @@ def filtered_digest(path: str | Path, filt: Filter, algorithm: str, *,
                     cache: DigestCache | None = None) -> str:
     """Digest of the file after applying the metadata filter: strip-comments
     drops every line whose first byte is the prefix character (raw byte
-    comparison, no whitespace skipping)."""
-    if not Path(path).is_file():
+    comparison, no whitespace skipping). Only a regular file is read: a
+    directory, a FIFO or a device is missing."""
+    if not os.path.isfile(path):
         raise FileMissing(str(path))
     prefix = None if filt.kind == FILTER_NONE else filt.prefix.encode("ascii")
     return file_digest(path, algorithm, prefix, cache=cache)
@@ -100,8 +102,8 @@ def filtered_digest(path: str | Path, filt: Filter, algorithm: str, *,
 def verify_entry(entry: VerificationEntry, build_dir: str | Path, *,
                  cache: DigestCache | None = None) -> EntryResult:
     try:
-        actual = filtered_digest(Path(build_dir) / entry.path, entry.filter, entry.algorithm,
-                                 cache=cache)
+        actual = filtered_digest(os.path.join(build_dir, entry.path), entry.filter,
+                                 entry.algorithm, cache=cache)
     except FileMissing:
         return EntryResult(entry.path, "missing")
     status = "ok" if actual == entry.expected.lower() else "mismatch"

@@ -109,6 +109,16 @@ class TestMake:
         assert proc.returncode == 1
         assert "configure" in proc.stderr
 
+    def test_crlf_entry_file_exit_1_naming_file_and_line(self, tmp_path):
+        root = tiny_project(tmp_path)
+        top = root / "reproduce/analysis/make/top.wf"
+        top.write_bytes(top.read_bytes().replace(b"\n", b"\r\n"))
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        proc = run_cli(root, "make")
+        assert proc.returncode == 1
+        assert "reproduce/analysis/make/top.wf:1: CR line ending" in proc.stderr
+        assert not (tmp_path / "bd" / "out.txt").exists()
+
     @pytest.mark.parametrize("jobs", ["two", "0"])
     def test_malformed_jobs_in_local_config_exit_1(self, tmp_path, jobs):
         root = tiny_project(tmp_path)

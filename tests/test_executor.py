@@ -154,6 +154,34 @@ class TestStaleSet:
         stale = stale_set(graph, "report", BuildState(), TIMESTAMP, tmp_path)
         assert stale == {"plot.tex", "verify.tex", "report"}
 
+    def test_built_node_under_a_regular_file_is_stale(self, tmp_path):
+        graph = build_graph([R("gen/out.txt", ["src.txt"]), R("report", ["gen/out.txt"])])
+        for name in ["src.txt", "gen", "report"]:
+            write(tmp_path, name)  # `gen` is a file, so `gen/out.txt` is ENOTDIR
+        assert stale_set(graph, "report", BuildState(), TIMESTAMP, tmp_path) == {
+            "gen/out.txt", "report"}
+
+    def test_source_under_a_regular_file_is_missing(self, tmp_path):
+        graph = build_graph([R("report", ["data/in.csv"])])
+        write(tmp_path, "data")
+        with pytest.raises(MissingSource) as info:
+            stale_set(graph, "report", BuildState(), TIMESTAMP, tmp_path)
+        assert "data/in.csv" in str(info.value)
+
+    @pytest.mark.parametrize("mode", [TIMESTAMP, DIGEST])
+    def test_relative_root_matches_absolute_root(self, tmp_path, monkeypatch, mode):
+        graph, base = self.chain(tmp_path)
+        state = BuildState()
+        for rule in graph.rules.values():
+            state.put(TargetRecord(rule.target, 1, "x", tuple(
+                file_digest(tmp_path / p) for p in rule.prerequisites)))
+        write(tmp_path, "year.conf", "edited\n")
+        set_mtime(tmp_path, "year.conf", base + 100 * 1_000_000_000)
+        absolute = stale_set(graph, "report", state, mode, tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert stale_set(graph, "report", state, mode, ".") == absolute == {
+            "plot.tex", "verify.tex", "report"}
+
     def _random_dag(self, rng, n):
         names = [f"f{i:02d}" for i in range(n)]
         n_sources = max(1, n // 3)
@@ -405,6 +433,27 @@ class TestExecute:
         report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
                          root=tmp_path)
         assert report.executed == []
+
+    def test_missing_prerequisite_recorded_empty_stays_stale_under_hash(self, tmp_path):
+        # The recipe moves its prerequisite away, so `_record` finds it
+        # missing: its digest is "", dropped on load, and the record is
+        # one digest short, so `--hash` rebuilds the target every time.
+        write(tmp_path, "src")
+        graph = build_graph([R("mid", ["src"]), R("goal", ["mid"], ("cp mid goal", "mv mid away"))])
+        state = BuildState()
+        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path)
+        record = state.records["goal"]
+        assert (record.target_digest, record.prereq_digests) == (
+            file_digest(tmp_path / "goal"), ("",))
+        state.save(tmp_path / "bd")
+        loaded = BuildState.load(tmp_path / "bd")
+        assert loaded.records["goal"].prereq_digests == ()
+        (tmp_path / "away").rename(tmp_path / "mid")  # `mid` is fresh again
+        for _ in range(2):
+            report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
+                             root=tmp_path)
+            assert report.executed_targets() == ["goal"]
+            (tmp_path / "away").rename(tmp_path / "mid")
 
     def test_state_saved_only_when_changed(self, tmp_path):
         graph = self.diamond(tmp_path)

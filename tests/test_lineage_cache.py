@@ -23,8 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 from lineage_forge import project
 from lineage_forge.demo import create_demo_project
+from conftest import init_repo
 from lineage_forge.errors import (
     CycleDetected,
+    DslSyntaxError,
     DuplicateTarget,
     IncludeNotFound,
     UndefinedVariable,
@@ -432,6 +434,30 @@ class TestHitAndMiss:
             cached = outcome(root, build)
         assert cached == outcome(root)
         assert sorted(seen) == ["$(BDIR)/in.txt", "$(BDIR)/mid-$(k2).txt", "$(BDIR)/other.txt"]
+
+    @pytest.mark.parametrize("rel", [f"{MAKE_DIR}/one.wf", f"{CONF_DIR}/b.conf"])
+    def test_file_rewritten_with_crlf_is_not_served_from_the_cache(self, tiny, rel):
+        root, build = tiny
+        crlf = TINY[rel].replace("\n", "\r\n")
+        cached, uncached = cached_then_edited(root, build, rel, crlf)
+        assert cached == uncached == ("error", "DslSyntaxError",
+                                      f"{rel}:1: CR line ending (files must use LF)")
+        wait_past(root, build.parent / "probe")
+        assert outcome(root, build) == uncached
+
+    def test_make_fails_after_a_stage_file_is_rewritten_with_crlf(self, tmp_path):
+        root = tmp_path / "proj"
+        create_demo_project(root)
+        init_repo(root)
+        project.configure(root, tmp_path / "build", input_dir="data")
+        project.run_make(root, offline=True)
+        assert (tmp_path / "build" / LINEAGE_RELPATH).is_file()
+        stage = root / MAKE_DIR / "demo-plot.wf"
+        stage.write_bytes(stage.read_bytes().replace(b"\n", b"\r\n"))
+        for _ in range(2):
+            with pytest.raises(DslSyntaxError) as info:
+                project.run_make(root, offline=True)
+            assert (info.value.origin, info.value.line) == (f"{MAKE_DIR}/demo-plot.wf", 1)
 
     def test_write_failure_is_logged_not_raised(self, tiny, caplog):
         root, build = tiny

@@ -355,6 +355,41 @@ class TestFlattenStatements:
         assert info.value.chain == chain + [chain[0]]
 
 
+class TestCarriageReturnsInFiles:
+    """Files are read without newline translation, so a CR in a file on
+    disk is rejected as it is in text given to `parse_workflow`."""
+
+    TOP = "reproduce/analysis/make/top.wf"
+    CONF = "reproduce/analysis/config/year.conf"
+
+    def project(self, root: Path) -> None:
+        (root / "reproduce/analysis/make").mkdir(parents=True)
+        (root / "reproduce/analysis/config").mkdir(parents=True)
+        (root / self.TOP).write_bytes(
+            b"all: out.txt\ninclude reproduce/analysis/config/*.conf\n"
+            b"out.txt:\n\techo $(year) > $@\n")
+        (root / self.CONF).write_bytes(b"year = 1996\n")
+
+    @pytest.mark.parametrize("rel", [TOP, CONF])
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+    def test_cr_line_endings_rejected_naming_file_and_line(self, tmp_path, rel, ending):
+        from lineage_forge.project import Project
+
+        self.project(tmp_path)
+        path = tmp_path / rel
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        with pytest.raises(DslSyntaxError) as info:
+            Project.load(tmp_path)
+        assert (info.value.origin, info.value.line) == (rel, 1)
+        assert "CR line ending" in str(info.value)
+
+    def test_lf_files_load(self, tmp_path):
+        from lineage_forge.project import Project
+
+        self.project(tmp_path)
+        assert Project.load(tmp_path).graph.rules["out.txt"].recipe == ("echo 1996 > out.txt",)
+
+
 def write_include_chain(root: Path, n: int, close_cycle: bool = False) -> list[str]:
     """Files c0000.wf ... each setting N to its index and then including
     the next; the last one includes the first when `close_cycle`."""

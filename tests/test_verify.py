@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import signal
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -186,6 +188,32 @@ class TestVerifyAll:
         ]
         report = verify_all(entries, build)
         assert [r.status for r in report.results] == ["ok", "missing"]
+
+    def test_directory_at_pinned_path_reported_missing(self, tmp_path):
+        build = self.fresh_build(tmp_path)
+        (build / "demo" / "dir.txt").mkdir()
+        entries = [VerificationEntry("demo/dir.txt", "sha256", "0" * 64, NONE)]
+        assert [r.status for r in verify_all(entries, build).results] == ["missing"]
+
+    def test_fifo_at_pinned_path_reported_missing_without_blocking(self, tmp_path):
+        build = self.fresh_build(tmp_path)
+        os.mkfifo(build / "demo" / "fifo.txt")
+        entries = [
+            VerificationEntry("demo/fifo.txt", "sha256", "0" * 64, STRIP),
+            entry_for(build, "demo/counts.txt"),
+        ]
+
+        def blocked(signum, frame):
+            raise TimeoutError("verify_all opened the FIFO")
+
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(10)  # opening a FIFO for reading waits for a writer
+        try:
+            report = verify_all(entries, build)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [r.status for r in report.results] == ["missing", "ok"]
 
     def test_no_short_circuit_all_failures_listed(self, tmp_path):
         build = self.fresh_build(tmp_path)
