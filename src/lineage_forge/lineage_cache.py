@@ -1,39 +1,66 @@
 """The parsed project from one `make` to the next: `<build>/state/lineage.json`.
 
 `Project.load` parses every DSL file and expands every rule template.
-This cache keeps what one such load found, keyed by:
+This cache keeps what one such load found, one record per DSL file, so
+that what a file yields is keyed by that file alone.
 
-* the StatKey of every DSL file it read, each trusted under
-  `state.trusted` against the cache file's mtime;
-* every include pattern with the paths it matched, globbed again on each
-  lookup, so a new file matching an include glob is seen;
-* the format number, the engine's `__version__` and the entry file.
+The file is JSON lines: a header, then one line per DSL file in load
+order. The header holds the format number, the engine's `__version__`,
+the entry file, the variables, the input pins, the topological order,
+and, as runs of (file, count), the order in which the templates of all
+files meet in the statement stream. A file's
+record holds its path, its StatKey and its items in source order: each
+assignment (key, value, line), each include directive (pattern, `?`
+flag, line) and each template (line, the names its texts read, the rules
+it expanded to), then each include pattern with the paths it matched.
 
-While the whole key holds, nothing is parsed. When it does not, the
-project is parsed again and `reusable` hands back the cached rules of
-every template that need not be expanded again; the graph is built anew.
+A record is trusted while its file's StatKey holds under
+`state.trusted`, against the cache file's mtime. While the entry file
+and every file an include matched have a trusted record, and every
+include glob, matched again on each lookup, names the same files,
+nothing is parsed: that is a hit. Otherwise the include walk
+(`flatten_statements`) takes every trusted file's items from its record,
+each run of its templates as one `CachedRun`, and opens only the other
+files. A cached template keeps its rules unless it reads a name whose
+value changed; then only its own lines are read again. The graph is
+built anew. `save` encodes the records of the files that changed and
+writes every other record back as it was read.
 
-The file is one JSON object, written by `state.replace_file`. A missing,
-truncated or malformed file, or one of another format or version, is
-treated as absent: it costs one full parse. A well-formed hand edit is
-believed, as one to `digests.tsv` is. The file may be deleted at any
-time; `clean` deletes it.
+The file is written by `state.replace_file`. A missing or unreadable
+file, or a header of another format, version or entry, is treated as
+absent: it costs one full parse. A damaged or untrusted record costs a
+parse of its file alone. A well-formed hand edit is believed, as one to
+`digests.tsv` is. The file may be deleted at any time; `clean` deletes
+it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
+import posixpath
 from pathlib import Path
 
 from . import __version__
+from .errors import DslSyntaxError
 from .graph import BUILT, SOURCE, LineageGraph, Origin, Rule
-from .parser import InputSpec, LoadedFile, RuleTemplate, include_matches, references
+from .parser import (
+    ConfigParam,
+    IncludeDirective,
+    InputSpec,
+    LoadedFile,
+    ParsedFile,
+    RuleTemplate,
+    include_matches,
+    parse_workflow,
+    references,
+)
 from .state import StatKey, replace_file, stat_key, trusted
 
 LINEAGE_RELPATH = "state/lineage.json"
-FORMAT = 2
+FORMAT = 3
 
 
 def _texts(value: object) -> list[str]:
@@ -43,15 +70,96 @@ def _texts(value: object) -> list[str]:
     return value
 
 
+class _Record:
+    """One DSL file's line of the cache, decoded: its StatKey, its items
+    as stored, the rules of each template in order, each include pattern
+    with the paths it matched, and the line as read."""
+
+    __slots__ = ("path", "key", "items", "rules", "globs", "line")
+
+    def __init__(self, line: str):
+        record = json.loads(line)
+        if type(record) is not list or len(record) != 4:
+            raise ValueError("malformed record")
+        path, key, items, globs = record
+        if type(path) is not str or type(key) is not list or len(key) != 5 \
+                or any(type(n) is not int for n in key) \
+                or type(items) is not list or type(globs) is not list:
+            raise ValueError("malformed record")
+        self.path, self.key, self.items, self.line = path, tuple(key), items, line
+        self.globs = [(pattern, _texts(matches)) for pattern, matches in globs]
+        "".join(pattern for pattern, _matches in self.globs)
+
+    def decode(self) -> None:
+        """Check every item and build the rules of each template.
+
+        The hot loop, with its type checks inline: `split` raises unless
+        called on a string, and `join` unless every item is one."""
+        join, path = "".join, self.path
+        rules: list[list[Rule]] = []
+        for item in self.items:
+            head = item[0]
+            if type(head) is int:
+                line, reads, targets, prereqs, *recipes = item
+                if type(reads) is not str:
+                    raise ValueError("malformed template")
+                join(recipes)
+                origin = Origin(path, line)
+                prereqs = tuple(str.split(prereqs))
+                expanded = [Rule(target, prereqs, tuple(recipe.split("\n")[1:]), origin)
+                            for target, recipe in zip(str.split(targets), recipes, strict=True)]
+                if not expanded:
+                    raise ValueError("template without rules")
+                rules.append(expanded)
+            elif head == "=" or head == "include":
+                _head, line, first, second = item
+                if type(line) is not int or type(first) is not str or \
+                        type(second) is not (str if head == "=" else bool):
+                    raise ValueError("malformed item")
+            else:
+                raise ValueError("malformed item")
+        self.rules = rules
+
+    def parsed(self) -> ParsedFile:
+        """The file's statements as parsing it gives them, but with each
+        run of consecutive templates as one CachedRun."""
+        items: list[object] = []
+        rules = iter(self.rules)
+        for item in self.items:
+            if item[0] == "=":
+                items.append(ConfigParam(item[2], item[3], Origin(self.path, item[1])))
+            elif item[0] == "include":
+                items.append(IncludeDirective(item[2], item[3], Origin(self.path, item[1])))
+            else:
+                if not (items and type(items[-1]) is CachedRun):
+                    items.append(CachedRun(self.path, [], []))
+                items[-1].items.append(item)
+                items[-1].rules.append(next(rules))
+        return ParsedFile(self.path, items)
+
+
+class CachedRun:
+    """Consecutive templates of a trusted file, as its record holds them:
+    the item of each and the rules each expanded to. One item of a miss's
+    statement stream for all of them."""
+
+    __slots__ = ("path", "items", "rules")
+
+    def __init__(self, path: str, items: list[list], rules: list[list[Rule]]):
+        self.path, self.items, self.rules = path, items, rules
+
+    def expanded(self) -> list[Rule]:
+        return [rule for rules in self.rules for rule in rules]
+
+
 class LineageCache:
     """One lineage.json, as read by `load`.
 
-    On a hit, `rules` holds every rule the templates expanded to, in
-    order, and `files`, `env`, `input_specs` and `order` what the load
-    that wrote the cache found. On a miss, `env` and, by file and line,
-    the rules of each template with the item they were decoded from are
-    kept for `reusable` and `save`. A cache that could not be used holds
-    nothing."""
+    `records` holds the record of every file it trusts, by path, and
+    `env` the variables the load that wrote it found. On a hit, `rules`
+    holds every rule the templates expanded to, in order, and `files`,
+    `input_specs` and `order` what that load found too. A cache that
+    could not be used holds nothing."""
 
     def __init__(self, path: Path):
         self.path = path
@@ -61,71 +169,48 @@ class LineageCache:
         self.rules: list[Rule] = []
         self.input_specs: list[InputSpec] = []
         self.order: list[str] = []
-        self._keys: dict[str, StatKey] = {}
-        self._written_ns = 0
-        self._templates: dict[tuple[str, int], tuple[list[Rule], list]] = {}
+        self.records: dict[str, _Record] = {}
 
     @classmethod
     def load(cls, build_dir: str | Path, root: Path, entry: str) -> "LineageCache":
         cache = cls(Path(build_dir) / LINEAGE_RELPATH)
         try:
-            with open(cache.path, encoding="ascii") as fh:
+            with open(cache.path, "rb") as fh:
                 written_ns = os.fstat(fh.fileno()).st_mtime_ns
-                doc = json.load(fh)
+                header, *lines = fh.read().decode("ascii").split("\n")
+            doc = json.loads(header)
             if (doc["format"], doc["version"], doc["entry"]) == (FORMAT, __version__, entry):
-                cache._decode(doc, root, written_ns)
-        except (OSError, ValueError, TypeError, KeyError):
+                cache._decode(doc, lines, root, entry, written_ns)
+        except (OSError, ValueError, TypeError, KeyError, RecursionError):
             return cls(cache.path)
         return cache
 
-    def _decode(self, doc: dict, root: Path, written_ns: int) -> None:
-        """Check the key, then decode what a hit, or a miss, needs."""
-        lists = ("files", "globs", "rules", "inputs", "order")
-        if type(doc["env"]) is not dict or any(type(doc[name]) is not list for name in lists):
+    def _decode(self, doc: dict, lines: list[str], root: Path, entry: str,
+                written_ns: int) -> None:
+        """Check the header, keep every record whose file is trusted, and
+        on a hit decode what the project needs: a hit needs a record for
+        the entry file and for every path an include matched."""
+        if type(doc["env"]) is not dict or any(
+                type(doc[name]) is not list for name in ("inputs", "order", "runs")):
             raise ValueError("malformed cache")
-        keys: dict[str, StatKey] = {}
-        for path, *key in doc["files"]:
-            if type(path) is not str or len(key) != 5 or any(type(n) is not int for n in key):
-                raise ValueError("malformed file key")
-            keys[path] = tuple(key)
-        unchanged = True
-        for path, key in keys.items():
-            try:
-                unchanged = trusted(stat_key(os.stat(root / path)), key, written_ns)
-            except OSError:
-                unchanged = False
-            if not unchanged:
-                break
-        for pattern, matches in doc["globs"]:
-            if type(pattern) is not str:
-                raise ValueError("malformed include pattern")
-            unchanged = unchanged and include_matches(pattern, root) == _texts(matches)
         env = doc["env"]
         "".join(env.values())  # a TypeError unless every value is a string
-
-        # The hot loop, with its type checks inline: `split` raises unless
-        # called on a string, and `join` unless every item is one.
-        join = "".join
-        rules: list[Rule] = []
-        templates: dict[tuple[str, int], tuple[list[Rule], list]] = {}
-        for path, items in doc["rules"]:
-            if type(path) is not str:
-                raise ValueError("malformed origin")
-            for item in items:
-                line, reads, targets, prereqs, *recipes = item
-                if type(line) is not int or type(reads) is not str:
-                    raise ValueError("malformed template")
-                join(recipes)
-                origin = Origin(path, line)
-                prereqs = tuple(str.split(prereqs))
-                expanded = [Rule(target, prereqs, tuple(recipe.split("\n")[1:]), origin)
-                            for target, recipe in zip(str.split(targets), recipes, strict=True)]
-                rules += expanded
-                templates[path, line] = expanded, item
-        self.files = list(keys)
         self.env = env
-        if not unchanged:
-            self._keys, self._written_ns, self._templates = keys, written_ns, templates
+        for line in lines:
+            try:
+                record = _Record(line)
+                current = stat_key(os.stat(os.path.join(root, record.path)))
+                if trusted(current, record.key, written_ns):
+                    record.decode()
+                    self.records[record.path] = record
+            except (OSError, ValueError, TypeError, KeyError, IndexError, RecursionError):
+                continue  # its file, if reached, is parsed
+        reached = [posixpath.normpath(entry), *(match for record in self.records.values()
+                                                for _pattern, matches in record.globs
+                                                for match in matches)]
+        if any(path not in self.records for path in reached) or any(
+                include_matches(pattern, root) != matches
+                for record in self.records.values() for pattern, matches in record.globs):
             return
 
         for pin in doc["inputs"]:
@@ -134,8 +219,19 @@ class LineageCache:
                 raise ValueError("malformed input pin")
             self.input_specs.append(InputSpec(*_texts(pin[:5]), size_hint=pin[5]))
         self.order = _texts(doc["order"])
-        self.rules = rules
+        templates = {path: iter(record.rules) for path, record in self.records.items()}
+        for path, count in doc["runs"]:
+            for expanded in itertools.islice(templates[path], count):
+                self.rules += expanded
+        if any(next(left, None) for left in templates.values()):
+            raise ValueError("runs do not cover the templates")
+        self.files = list(self.records)
         self.hit = True
+
+    def parsed(self) -> dict[str, tuple[ParsedFile, StatKey]]:
+        """Per trusted file, its statements and its StatKey, for the
+        include walk of a miss."""
+        return {path: (record.parsed(), record.key) for path, record in self.records.items()}
 
     def graph(self, rules: list[Rule]) -> LineageGraph:
         """On a hit, the cached graph over `rules`: the cached rules
@@ -144,16 +240,15 @@ class LineageCache:
         nodes = {node: BUILT if node in by_target else SOURCE for node in sorted(self.order)}
         return LineageGraph(nodes=nodes, rules=by_target, order=self.order)
 
-    def reusable(self, files: list[LoadedFile], templates: list[RuleTemplate],
-                 env: dict[str, str]) -> list[list[Rule] | None]:
-        """Per template, its cached rules if it expands as it did, else
-        None. It does when the cache trusts its file unchanged, as `files`
-        read it, so its text and origin are too, and it reads no variable
-        whose value is affected. Affected are the names whose value
-        changed, and then every name whose old or new value reads an
-        affected one."""
-        unchanged = {f.path for f in files if f.path in self._keys
-                     and trusted(f.stat, self._keys[f.path], self._written_ns)}
+    def templates(self, root: Path, templates: list[RuleTemplate | CachedRun],
+                  env: dict[str, str]) -> list[RuleTemplate | CachedRun] | None:
+        """`templates`, with every cached template that reads an affected
+        variable split out of its run and parsed again. Affected are the
+        names whose value changed, and then every name whose old or new
+        value reads an affected one. A cached template's file is unchanged
+        since its record was trusted, so only the template's own lines are
+        parsed. None if such a file has changed since, or its lines do not
+        hold the template its record says they do."""
         users: dict[str, set[str]] = {}
         for name in self.env.keys() | env.keys():
             for value in (self.env.get(name, ""), env.get(name, "")):
@@ -166,53 +261,112 @@ class LineageCache:
                 if user not in affected:
                     affected.add(user)
                     todo.append(user)
-        reused: list[list[Rule] | None] = []
+        if not affected:
+            return templates
+
+        out: list[RuleTemplate | CachedRun] = []
+        stale: dict[str, list[int]] = {}  # by file, where its stale templates are in `out`
         for t in templates:
-            rules, item = None, None
-            if t.origin.path in unchanged:
-                rules, item = self._templates.get((t.origin.path, t.origin.line), (None, None))
-            reused.append(rules if item and affected.isdisjoint(item[1].split()) else None)
-        return reused
+            if type(t) is RuleTemplate:
+                out.append(t)
+                continue
+            start = 0
+            for k, item in enumerate(t.items):
+                if not affected.isdisjoint(item[1].split()):
+                    if start < k:
+                        out.append(CachedRun(t.path, t.items[start:k], t.rules[start:k]))
+                    stale.setdefault(t.path, []).append(len(out))
+                    out.append(CachedRun(t.path, [item], [t.rules[k]]))
+                    start = k + 1
+            if start == 0:
+                out.append(t)
+            elif start < len(t.items):
+                out.append(CachedRun(t.path, t.items[start:], t.rules[start:]))
+        for path, at in stale.items():
+            try:
+                with open(os.path.join(root, path), encoding="utf-8", newline="") as fh:
+                    if stat_key(os.fstat(fh.fileno())) != self.records[path].key:
+                        return None
+                    lines = fh.read().split("\n")
+            except (OSError, UnicodeDecodeError):
+                return None
+            for i in at:
+                first = out[i].rules[0][0]
+                end = first.origin.line + len(first.recipe)
+                try:
+                    parsed = parse_workflow("\n".join(lines[first.origin.line - 1:end]), path)
+                except DslSyntaxError:
+                    return None
+                if len(parsed.items) != 1 or type(parsed.items[0]) is not RuleTemplate:
+                    return None
+                out[i] = dataclasses.replace(parsed.items[0], origin=first.origin)
+        return out
 
     def save(self, entry: str, files: list[LoadedFile], env: dict[str, str],
-             templates: list[RuleTemplate], expanded: list[list[Rule]],
+             templates: list[RuleTemplate | CachedRun], expanded: list[list[Rule]],
              input_specs: list[InputSpec], graph: LineageGraph) -> None:
-        """Write what one load found; `expanded` holds the rules of each
-        template, in order, as `reusable` handed them back or as they were
-        expanded again.
+        """Write what one load found; `expanded` holds, in order, the
+        rules each RuleTemplate was expanded to, or each CachedRun's own.
 
-        The rules of a template are one item under its file: its line,
-        the names its texts read, its targets and its prerequisites, each
-        joined by spaces, then each target's recipe with a newline before
-        every line. Names and expanded paths hold no whitespace and
-        expanded recipe lines no newline, so all split back exactly.
-        Reused rules keep the item they were decoded from."""
+        A template is one item: its line, the names its texts read, its
+        targets and its prerequisites, each joined by spaces, then each
+        target's recipe with a newline before every line. Names and
+        expanded paths hold no whitespace and expanded recipe lines no
+        newline, so all split back exactly. A file whose record was
+        trusted, whose templates all kept their rules and whose includes
+        matched the same paths keeps its line as it was read."""
+        fresh = {(t.origin.path, t.origin.line): (t, rules)
+                 for t, rules in zip(templates, expanded, strict=True)
+                 if type(t) is RuleTemplate}
+        runs: list[list] = []
+        for t in templates:
+            path, count = ((t.origin.path, 1) if type(t) is RuleTemplate
+                           else (t.path, len(t.items)))
+            if runs and runs[-1][0] == path:
+                runs[-1][1] += count
+            else:
+                runs.append([path, count])
 
-        def item(t: RuleTemplate, rules: list[Rule]) -> list:
-            cached, cached_item = self._templates.get((t.origin.path, t.origin.line), (None, None))
-            if cached is rules:
-                return cached_item
+        def template(t: RuleTemplate, rules: list[Rule]) -> list:
             reads = set().union(*map(references, (t.target_text, t.prereq_text, *t.recipe)))
             return [t.origin.line, " ".join(sorted(reads)), " ".join([r.target for r in rules]),
                     " ".join(rules[0].prerequisites),
                     *["".join(["\n" + line for line in r.recipe]) for r in rules]]
 
-        pairs = zip(templates, expanded, strict=True)
-        doc = {
+        def items(f: LoadedFile) -> list[list]:
+            out: list[list] = []
+            for x in f.parsed.items:
+                if type(x) is ConfigParam:
+                    out.append(["=", x.origin.line, x.key, x.value])
+                elif type(x) is IncludeDirective:
+                    out.append(["include", x.origin.line, x.pattern, x.optional])
+                elif type(x) is RuleTemplate:
+                    out.append(template(*fresh[f.path, x.origin.line]))
+                else:  # a CachedRun: each template's item, unless it was parsed again
+                    out += [template(*fresh[f.path, item[0]]) if (f.path, item[0]) in fresh
+                            else item for item in x.items]
+            return out
+
+        compact = {"separators": (",", ":")}
+        changed = {path for path, _line in fresh}
+        lines = [json.dumps({
             "format": FORMAT,
             "version": __version__,
             "entry": entry,
-            "files": [[f.path, *f.stat] for f in files],
-            "globs": [glob for f in files for glob in f.globs],
             "env": env,
-            "rules": [
-                [path, [item(*pair) for pair in group]]
-                for path, group in itertools.groupby(pairs, lambda pair: pair[0].origin.path)
-            ],
             "inputs": [[s.name, s.filename, s.algorithm, s.digest, s.url, s.size_hint]
                        for s in input_specs],
             "order": graph.order,
-        }
-        # ASCII, so a file name that is not UTF-8 (a surrogate escape from
-        # a glob) is written as a `\u` escape and reads back the same.
-        replace_file(self.path, json.dumps(doc, separators=(",", ":")).encode("ascii"))
+            "runs": runs,
+        }, **compact)]
+        for f in files:
+            record = self.records.get(f.path)
+            if record is not None and f.path not in changed and f.globs == record.globs:
+                lines.append(record.line)
+                continue
+            globs = [[pattern, matches] for pattern, matches in f.globs]
+            # ASCII, so a file name that is not UTF-8 (a surrogate escape
+            # from a glob) is written as a `\u` escape and reads back the
+            # same.
+            lines.append(json.dumps([f.path, f.stat, items(f), globs], **compact))
+        replace_file(self.path, "\n".join(lines).encode("ascii"))

@@ -9,8 +9,9 @@ functions, no conditionals. Files are UTF-8 with LF line endings.
 `flatten_statements` walks the include tree once, on its own stack, so
 includes nest without a depth limit: it reads and globs each file and
 directive a single time, emitting statements in the order an
-include-expanding reader would meet them. `expand` substitutes a
-template in one regex pass.
+include-expanding reader would meet them. A file the lineage cache
+trusts is not read: its statements come from the cache. `expand`
+substitutes a template in one regex pass.
 
 Automatic variables are only live inside recipes; everywhere else they
 pass through literally, like any `$` followed by something other than
@@ -28,6 +29,7 @@ import posixpath
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 from .errors import (
     AmbiguousDigest,
@@ -258,6 +260,7 @@ def flatten_statements(
     entry: str,
     root: str | Path,
     exclude: frozenset[str] = frozenset({VERIFY_MANIFEST}),
+    cached: Mapping[str, tuple[ParsedFile, StatKey]] | None = None,
 ) -> tuple[list[LoadedFile], list[object]]:
     """Load `entry` and, depth-first and in order, everything it includes.
 
@@ -273,8 +276,13 @@ def flatten_statements(
 
     Paths in `exclude` (by default the verification manifest, which is
     TSV, not DSL) are silently dropped from glob expansions.
+
+    A file in `cached` is not opened: its statements and StatKey are
+    taken from there, as the lineage cache recorded them. Every include
+    is still globbed, and every check above still made.
     """
     root = Path(root)
+    cached = cached or {}
     loaded: list[LoadedFile] = []
     statements: list[object] = []
     done: set[str] = set()
@@ -288,17 +296,20 @@ def flatten_statements(
             raise IncludeCycle(in_progress + [rel])
         if rel in done:
             raise DuplicateInclude(rel, str(via) if via else rel)
-        full = root / rel
-        if not full.is_file():
-            raise IncludeNotFound(rel, str(via) if via else rel)
-        try:
-            # No newline translation: parse_workflow must see any CR.
-            with open(full, encoding="utf-8", newline="") as fh:
-                key = stat_key(os.fstat(fh.fileno()))
-                text = fh.read()
-        except UnicodeDecodeError:
-            raise DslSyntaxError(rel, 1, "file is not valid UTF-8") from None
-        parsed = parse_workflow(text, rel)
+        if rel in cached:
+            parsed, key = cached[rel]
+        else:
+            full = root / rel
+            if not full.is_file():
+                raise IncludeNotFound(rel, str(via) if via else rel)
+            try:
+                # No newline translation: parse_workflow must see any CR.
+                with open(full, encoding="utf-8", newline="") as fh:
+                    key = stat_key(os.fstat(fh.fileno()))
+                    text = fh.read()
+            except UnicodeDecodeError:
+                raise DslSyntaxError(rel, 1, "file is not valid UTF-8") from None
+            parsed = parse_workflow(text, rel)
         in_progress.append(rel)
         done.add(rel)
         loaded.append(LoadedFile(rel, parsed, key))

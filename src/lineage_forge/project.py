@@ -32,7 +32,7 @@ from .errors import (
 from .executor import TIMESTAMP, EnvPolicy, ExecutionReport, execute
 from .fetch import InputResolver, Transport, UrllibTransport
 from .graph import BUILT, LineageGraph, Origin, Rule, ancestors, build_graph
-from .lineage_cache import LINEAGE_RELPATH, LineageCache
+from .lineage_cache import LINEAGE_RELPATH, CachedRun, LineageCache
 from .parser import (
     DEFAULT_ENTRY,
     INPUTS_MANIFEST,
@@ -78,6 +78,13 @@ BIBLIOGRAPHY_RELPATH = "tex/software.bib"
 EventCallback = Callable[[dict], None]
 
 
+def _read_as_written(path: Path) -> str:
+    """A project file's text with no newline translation, so that its
+    parser sees, and rejects, any CR."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 @dataclass
 class LocalConfig:
     """Host-specific settings recorded by `configure`; never committed."""
@@ -98,8 +105,7 @@ class LocalConfig:
                 f"project at {root} is not configured (missing {LOCAL_CONFIG}); "
                 "run `configure` first"
             )
-        values = {p.key: p.value for p in parse_config(path.read_text(encoding="utf-8"),
-                                                       LOCAL_CONFIG)}
+        values = {p.key: p.value for p in parse_config(_read_as_written(path), LOCAL_CONFIG)}
         if "build-dir" not in values:
             raise LineageError(f"{LOCAL_CONFIG} does not record build-dir")
         jobs = values.get("jobs", "1")
@@ -157,7 +163,8 @@ class Project:
              build_dir: str | Path | None = None) -> "Project":
         """Parse the project. With `build_dir`, the result is looked up in
         and written to `<build>/state/lineage.json` (see `LineageCache`):
-        while no DSL file changed, nothing is parsed."""
+        while no DSL file changed, nothing is parsed, and after an edit,
+        only the changed files are."""
         root = Path(root)
         cache = None if build_dir is None else LineageCache.load(build_dir, root, entry)
         if cache is not None and cache.hit:
@@ -166,16 +173,20 @@ class Project:
                        graph=cache.graph(rules), goal=goal,
                        stages=_stages(entry, cache.files), input_specs=cache.input_specs)
 
-        files, statements = flatten_statements(entry, root)
+        files, statements = flatten_statements(
+            entry, root, cached=None if cache is None else cache.parsed())
         env = build_env(statements, builtins={"BDIR": BUILD_LINK})
-        templates = [item for item in statements if isinstance(item, RuleTemplate)]
-        reused = ([None] * len(templates) if cache is None
-                  else cache.reusable(files, templates, env))
-        todo = [t for t, rules in zip(templates, reused) if rules is None]
+        # Each a template to expand, or a run of cached ones.
+        templates = [item for item in statements if isinstance(item, (RuleTemplate, CachedRun))]
+        if cache is not None:
+            templates = cache.templates(root, templates, env)
+            if templates is None:  # a file changed after its record was trusted
+                return cls.load(root, entry)
+        todo = [t for t in templates if type(t) is RuleTemplate]
         # Each template expands to one or more rules, all with its origin.
         new = (list(group) for _origin, group in
                itertools.groupby(instantiate_rules(todo, env), operator.attrgetter("origin")))
-        expanded = [next(new) if rules is None else rules for rules in reused]
+        expanded = [next(new) if type(t) is RuleTemplate else t.expanded() for t in templates]
         goal, rules = _split_goal([r for rules in expanded for r in rules], entry)
         graph = build_graph(rules)
 
@@ -307,7 +318,7 @@ def configure(
 
     targets_file = root / TARGETS_RELPATH
     if targets_file.is_file():
-        entries = parse_targets(targets_file.read_text(encoding="utf-8"))
+        entries = parse_targets(_read_as_written(targets_file))
         tarball_dir = config.resolve_dir(root, software_dir) or (root / "tarballs-unset")
         report = verify_tarballs(entries, tarball_dir)
         for result in report.results:
@@ -361,7 +372,7 @@ def _software_builtins(root: Path) -> tuple[str, list, list]:
     targets_file = root / TARGETS_RELPATH
     if not targets_file.is_file():
         return "", [], []
-    entries = parse_targets(targets_file.read_text(encoding="utf-8"))
+    entries = parse_targets(_read_as_written(targets_file))
     text, _keys = acknowledgment_text(entries)
     return text, version_macros(entries), entries
 
@@ -483,7 +494,7 @@ def _verify_stage(root: Path, build_dir: Path, on_event: EventCallback | None,
     manifest = root / VERIFY_MANIFEST
     if not manifest.is_file():
         return None
-    entries = parse_manifest(manifest.read_text(encoding="utf-8"), VERIFY_MANIFEST)
+    entries = parse_manifest(_read_as_written(manifest), VERIFY_MANIFEST)
     report = verify_all(entries, build_dir, cache=cache)
     if on_event:
         for result in report.results:
@@ -561,7 +572,7 @@ def run_record(
     manifest = root / VERIFY_MANIFEST
     entries: dict[str, VerificationEntry] = {}
     if manifest.is_file():
-        for entry in parse_manifest(manifest.read_text(encoding="utf-8"), VERIFY_MANIFEST):
+        for entry in parse_manifest(_read_as_written(manifest), VERIFY_MANIFEST):
             entries[entry.path] = entry
     if paths:
         use_filter = filt or Filter()

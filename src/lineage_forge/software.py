@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, DuplicateSoftware, MalformedDigest, NameCollision
-from .parser import _HEX_RE
+from .parser import _HEX_RE, _reject_carriage_returns
 from .provenance import MacroDefinition
 from .state import file_digest
 
@@ -58,6 +58,7 @@ def parse_targets(text: str, origin: str = TARGETS_RELPATH) -> list[SoftwareEntr
 
     Returned entries are sorted by name; a repeated name is an error.
     """
+    _reject_carriage_returns(text, origin)
     entries: dict[str, SoftwareEntry] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

@@ -14,9 +14,11 @@ make its target rebuild.
 
 `digests.tsv` caches the digests of large files for one `make` to the
 next (see DigestCache); it may be deleted at any time. So may
-`lineage.json`, the parsed project (see `lineage_cache.py`). Both
-caches trust a file by its StatKey under one racy rule (`trusted`) and
-are written by one replacing writer (`replace_file`).
+`lineage.json`, the parsed project, one record per DSL file (see
+`lineage_cache.py`). Both caches trust a file by its StatKey under one
+racy rule (`trusted`): `digests.tsv` per large file, `lineage.json` per
+DSL file's record. Both are written by one replacing writer
+(`replace_file`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, FileMissing, UsageError
-from .parser import DIGEST_LENGTHS, _HEX_RE
+from .parser import DIGEST_LENGTHS, _HEX_RE, _reject_carriage_returns
 from .state import DigestCache, file_digest
 
 FILTER_NONE = "none"
@@ -117,26 +117,9 @@ def verify_all(entries: list[VerificationEntry], build_dir: str | Path, *,
     return VerificationReport([verify_entry(e, build_dir, cache=cache) for e in entries])
 
 
-def record_manifest(
-    paths: list[str],
-    filt: Filter,
-    algorithm: str,
-    build_dir: str | Path,
-) -> str:
-    """Pin the given build-relative paths at their current digests.
-
-    Emits manifest text sorted by path; verifying unchanged files against
-    it afterwards passes by construction.
-    """
-    lines = []
-    for rel in sorted(set(paths)):
-        digest = filtered_digest(Path(build_dir) / rel, filt, algorithm)
-        lines.append(f"{rel}\t{algorithm}\t{digest}\t{filt.serialize()}\n")
-    return "".join(lines)
-
-
 def parse_manifest(text: str, origin: str = "verify.conf") -> list[VerificationEntry]:
     """Parse the TSV manifest; blank lines and `#` comments are ignored."""
+    _reject_carriage_returns(text, origin)
     entries: list[VerificationEntry] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):

@@ -21,7 +21,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lineage_forge import project
+from lineage_forge import lineage_cache, parser, project
 from lineage_forge.demo import create_demo_project
 from conftest import init_repo
 from lineage_forge.errors import (
@@ -238,34 +238,53 @@ def rewrite_same_size(root: Path, build: Path, n: int) -> None:
 
 def edit_in_cache_tick(root: Path, build: Path, n: int) -> None:
     """Edit a file, then forge the cache as if it had been written in the
-    same clock tick, just before the edit, with the edited file's StatKey
-    equal to the one recorded (as the coarse clocks of some file systems
-    allow): the racy rule must refuse to trust it."""
+    same clock tick, just before the edit, with the StatKey in the edited
+    file's record equal to its new one (as the coarse clocks of some file
+    systems allow): the racy rule must refuse to trust it. Only a cache
+    that holds the project as it is now is forged, as `make` would have
+    written it: a record forged before, and not yet rewritten by a load,
+    would pass for trusted once the forged cache is newer than its file."""
     cache = build / LINEAGE_RELPATH
-    try:
-        doc = json.loads(cache.read_bytes())
-        entry = doc["files"][n % len(doc["files"])]
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return  # no cache, or a garbled one
-    if type(entry) is not list or len(entry) != 6 or not (root / str(entry[0])).is_file():
+    if not LineageCache.load(build, root, DEFAULT_ENTRY).hit:
         return
-    path = root / entry[0]
+    try:
+        header, *records = cache.read_bytes().split(b"\n")
+        at = n % len(records)
+        record = json.loads(records[at])
+        path = root / record[0]
+    except (OSError, ValueError, KeyError, TypeError, IndexError, ZeroDivisionError):
+        return  # no cache, or a garbled one
+    if type(record) is not list or len(record) != 4 or not path.is_file():
+        return
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(f"racy-{n % 3} = {n}\n")
     st_ = path.stat()
-    entry[1:] = [st_.st_dev, st_.st_ino, st_.st_size, st_.st_mtime_ns, st_.st_ctime_ns]
-    cache.write_text(json.dumps(doc), encoding="ascii")
+    record[1] = [st_.st_dev, st_.st_ino, st_.st_size, st_.st_mtime_ns, st_.st_ctime_ns]
+    records[at] = json.dumps(record).encode()
+    cache.write_bytes(b"\n".join([header, *records]))
     tick = max(st_.st_mtime_ns, st_.st_ctime_ns)
     os.utime(cache, ns=(tick, tick))
 
 
+def write_damaged(cache: Path, data: bytes) -> None:
+    """Replace the cache's bytes, keeping its mtime: records are trusted
+    against the time `make` wrote them, and damage is not such a write.
+    (A record forged by `edit_in_cache_tick` and not yet rewritten would
+    pass for trusted in a cache made newer than its file.)"""
+    written = cache.stat().st_mtime_ns
+    cache.write_bytes(data)
+    os.utime(cache, ns=(written, written))
+
+
 def garble_cache(root: Path, build: Path, n: int) -> None:
+    """Damage the whole file or its header line."""
     cache = build / LINEAGE_RELPATH
     if not cache.exists():
         return
     raw = cache.read_bytes()
+    header, newline, records = raw.partition(b"\n")
     try:
-        doc = json.loads(raw)
+        doc = json.loads(header)
     except ValueError:
         doc = None
     if type(doc) is not dict:
@@ -276,23 +295,62 @@ def garble_cache(root: Path, build: Path, n: int) -> None:
         garbled = raw[: n % max(len(raw), 1)]  # truncated
     elif kind == 1:
         garbled = b"\xff{not json" + raw[:10]
-    elif kind == 2:
-        garbled = json.dumps({**doc, "version": "0.0.0"}).encode()
-    elif kind == 3:
-        garbled = json.dumps({k: v for k, v in doc.items() if k != keys[n % len(keys)]}).encode()
-    elif kind == 4:
-        wrong = [5, "x", None, [5], {"k": 5}][n // 7 % 5]
-        field = ["files", "globs", "env", "rules", "inputs", "order"][n // 35 % 6]
-        garbled = json.dumps({**doc, field: wrong}).encode()
-    elif kind == 5:
-        garbled = json.dumps([doc]).encode()
-    else:
+    elif kind == 6:
         garbled = raw.replace(b'"', b"'", 1 + n % 50)
-    cache.write_bytes(garbled)
+    else:
+        if kind == 2:
+            doc = {**doc, "version": "0.0.0"}
+        elif kind == 3:
+            doc = {k: v for k, v in doc.items() if k != keys[n % len(keys)]}
+        elif kind == 4:
+            wrong = [5, "x", None, [5], {"k": 5}][n // 7 % 5]
+            doc = {**doc, ["env", "inputs", "order", "runs"][n // 35 % 4]: wrong}
+        else:
+            doc = [doc]
+        garbled = json.dumps(doc).encode() + newline + records
+    write_damaged(cache, garbled)
+
+
+# A value of another type than a record field's, or an item field's.
+WRONG_TYPE = {str: 5, int: None, bool: "x", list: {"k": 5}, dict: 5, float: "x", type(None): 5}
+
+
+def damage_record(root: Path, build: Path, n: int) -> None:
+    """Damage exactly one file's record: truncate it, give it or one of
+    its items the wrong type, or give it another StatKey."""
+    cache = build / LINEAGE_RELPATH
+    try:
+        header, *records = cache.read_bytes().split(b"\n")
+        at = n % len(records)
+    except (OSError, ZeroDivisionError):
+        return
+    try:
+        record = json.loads(records[at])
+    except ValueError:
+        record = None
+    whole = (type(record) is list and len(record) == 4 and type(record[1]) is list
+             and len(record[1]) == 5 and type(record[2]) is list and record[2]
+             and all(type(item) is list and item for item in record[2]))
+    kind = n // 7 % 4
+    if kind == 0 or not whole:
+        records[at] = records[at][: n % max(len(records[at]), 1)]  # truncated
+    else:
+        if kind == 1:
+            field = n // 28 % 4
+            record[field] = WRONG_TYPE[type(record[field])]
+        elif kind == 2:
+            item = record[2][n // 28 % len(record[2])]
+            field = n // 112 % len(item)
+            item[field] = WRONG_TYPE[type(item[field])]
+        else:
+            record[1][3] += 1 + n
+        records[at] = json.dumps(record).encode()
+    write_damaged(cache, b"\n".join([header, *records]))
 
 
 EDITS = [change_value, add_conf, remove_conf, add_rule, rename_variable, toggle_alias_recipe,
-         swap_includes, remove_stage, rewrite_same_size, edit_in_cache_tick, garble_cache]
+         swap_includes, remove_stage, rewrite_same_size, edit_in_cache_tick, garble_cache,
+         damage_record]
 STEPS = st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10_000)), max_size=8)
 
 
@@ -466,7 +524,8 @@ class TestHitAndMiss:
         assert outcome(root, build) == outcome(root)
         assert "could not write the cache" in caplog.text
 
-    @pytest.mark.parametrize("damage", [b"", b"{", b"[]", b"null", b'{"format": 1}'])
+    @pytest.mark.parametrize("damage", [b"", b"{", b"[]", b"null", b'{"format": 1}',
+                                        b"[" * 100_000])
     def test_unreadable_cache_costs_one_full_parse(self, tiny, damage):
         root, build = tiny
         cache = build / LINEAGE_RELPATH
@@ -476,3 +535,123 @@ class TestHitAndMiss:
         wait_past(root, build.parent / "probe")
         assert outcome(root, build) == outcome(root)
         assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+
+
+def cached_with_parses(root: Path, build: Path):
+    """A cached load's outcome, and the files it parsed: whole, in the
+    include walk, or in part, for a template it expands again."""
+    seen: set[str] = set()
+    real = parser.parse_workflow
+
+    def spy(text, origin):
+        seen.add(origin)
+        return real(text, origin)
+
+    with mock.patch.object(parser, "parse_workflow", spy), \
+            mock.patch.object(lineage_cache, "parse_workflow", spy):
+        got = outcome(root, build)
+    return got, seen
+
+
+def records(build: Path) -> dict[str, bytes]:
+    """Each file's line of the cache, by path."""
+    _header, *lines = (build / LINEAGE_RELPATH).read_bytes().split(b"\n")
+    return {json.loads(line)[0]: line for line in lines}
+
+
+def readers(root: Path, name: str) -> set[str]:
+    """The DSL files whose text reads `$(name)`."""
+    return {p.relative_to(root).as_posix() for p in dsl_files(root)
+            if f"$({name})" in p.read_text(encoding="utf-8")}
+
+
+class TestMissReadsWhatChanged:
+    @pytest.fixture(params=["generated", "demo"])
+    def project_root(self, request, tmp_path) -> Path:
+        root = tmp_path / "proj"
+        if request.param == "generated":
+            shutil.copytree(request.getfixturevalue("generated"), root)
+        else:
+            create_demo_project(root)
+        return root
+
+    def test_value_edit_parses_and_rewrites_only_what_it_reaches(self, project_root, tmp_path):
+        root, build = project_root, tmp_path / "build"
+        wait_past(root, tmp_path / "probe")
+        outcome(root, build)
+        before = records(build)
+        # The first parameter some workflow file reads; nothing else reads
+        # it, so it alone is affected.
+        conf, name = next((p, m.group(1)) for p in dsl_files(root) if p.suffix == ".conf"
+                          for m in ASSIGNMENT.finditer(p.read_text(encoding="utf-8"))
+                          if readers(root, m.group(1)))
+        assert all(p.endswith(".wf") for p in readers(root, name))
+        text = conf.read_text(encoding="utf-8")
+        conf.write_text(re.sub(rf"^{re.escape(name)}\s*=.*$", f"{name} = 4242", text,
+                               flags=re.MULTILINE), encoding="utf-8")
+        cached, parsed = cached_with_parses(root, build)
+        assert cached == outcome(root)
+        reached = {conf.relative_to(root).as_posix()} | readers(root, name)
+        assert parsed == reached
+        after = records(build)
+        assert after.keys() == before.keys()
+        assert {path for path in before if after[path] != before[path]} == reached
+
+    @pytest.mark.parametrize("damage", [lambda line: line[:-5], lambda line: b"[" * 100_000],
+                             ids=["truncated", "nested too deep"])
+    def test_damaged_record_costs_a_parse_of_its_file_alone(self, project_root, tmp_path,
+                                                            damage):
+        root, build = project_root, tmp_path / "build"
+        wait_past(root, tmp_path / "probe")
+        want = outcome(root, build)
+        cache = build / LINEAGE_RELPATH
+        header, *lines = cache.read_bytes().split(b"\n")
+        damaged = json.loads(lines[-1])[0]
+        write_damaged(cache, b"\n".join([header, *lines[:-1], damage(lines[-1])]))
+        cached, parsed = cached_with_parses(root, build)
+        assert cached == want
+        assert parsed == {damaged}
+        wait_past(root, tmp_path / "probe")
+        assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+
+
+class TestRecordNoLongerMatchesItsFile:
+    """A template's file is read again after its record was trusted; if
+    the file or the record has changed in between, the load parses the
+    whole project rather than mix the two."""
+
+    def test_file_edited_during_the_load(self, tiny):
+        root, build = tiny
+        wait_past(root, build.parent / "probe")
+        outcome(root, build)
+        (root / CONF_DIR / "a.conf").write_text("k0 = 5\nk1 = $(k0)x\n", encoding="utf-8")
+        real, edits = project.build_env, []
+
+        def edit_then_build_env(statements, builtins):
+            if not edits:  # once: the full parse that follows calls it again
+                with open(root / MAKE_DIR / "one.wf", "a", encoding="utf-8") as fh:
+                    edits.append(fh.write("\n$(BDIR)/late.txt:\n\ttrue\n"))
+            return real(statements, builtins)
+
+        with mock.patch.object(project, "build_env", edit_then_build_env):
+            cached = outcome(root, build)
+        assert cached == outcome(root)
+        assert ".build/late.txt" in dict(cached[1])
+
+    def test_record_names_the_wrong_line(self, tiny):
+        root, build = tiny
+        wait_past(root, build.parent / "probe")
+        outcome(root, build)
+        cache = build / LINEAGE_RELPATH
+        header, *lines = cache.read_bytes().split(b"\n")
+        one = f"{MAKE_DIR}/one.wf"
+        at = next(i for i, line in enumerate(lines) if json.loads(line)[0] == one)
+        record = json.loads(lines[at])
+        in_txt = next(item for item in record[2] if item[2] == ".build/in.txt")
+        in_txt[0] += 1  # the recipe line under it
+        lines[at] = json.dumps(record).encode()
+        written = cache.stat().st_mtime_ns
+        cache.write_bytes(b"\n".join([header, *lines]))
+        os.utime(cache, ns=(written, written))
+        (root / CONF_DIR / "a.conf").write_text("k0 = 5\nk1 = $(k0)x\n", encoding="utf-8")
+        assert outcome(root, build) == outcome(root)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from lineage_forge.errors import (
+    DslSyntaxError,
     LineageError,
     MissingSource,
     MissingStageMacroFile,
@@ -15,7 +16,16 @@ from lineage_forge.errors import (
     VerificationFailed,
 )
 from lineage_forge.parser import VERIFY_MANIFEST
-from lineage_forge.project import LocalConfig, Project, clean, configure, run_make
+from lineage_forge.project import (
+    LOCAL_CONFIG,
+    LocalConfig,
+    Project,
+    clean,
+    configure,
+    run_make,
+    run_record,
+)
+from lineage_forge.software import TARGETS_RELPATH
 from lineage_forge.verify import parse_manifest
 
 from conftest import init_repo, run_cli
@@ -208,3 +218,43 @@ class TestErrors:
         assert loaded.input_dir == "data"
         assert loaded.jobs == 4
         assert loaded.tool_path == "/usr/bin:/bin"
+
+
+def to_crlf(path: Path) -> None:
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+
+class TestCrlfConfigFiles:
+    """The engine's own configuration files use LF, as its DSL files do:
+    a CR is rejected, naming the file and line, not read past."""
+
+    def test_local_config(self, demo_project):
+        to_crlf(demo_project / LOCAL_CONFIG)
+        with pytest.raises(DslSyntaxError) as info:
+            run_make(demo_project, offline=True)
+        assert str(info.value) == f"{LOCAL_CONFIG}:1: CR line ending (files must use LF)"
+
+    def test_verify_manifest(self, demo_project):
+        to_crlf(demo_project / VERIFY_MANIFEST)
+        with pytest.raises(DslSyntaxError) as info:
+            run_make(demo_project, offline=True)
+        assert str(info.value) == f"{VERIFY_MANIFEST}:1: CR line ending (files must use LF)"
+
+    def test_verify_manifest_when_recording(self, demo_project):
+        to_crlf(demo_project / VERIFY_MANIFEST)
+        with pytest.raises(DslSyntaxError) as info:
+            run_record(demo_project)
+        assert str(info.value) == f"{VERIFY_MANIFEST}:1: CR line ending (files must use LF)"
+
+    def test_software_manifest(self, demo_project_unconfigured, tmp_path):
+        root = demo_project_unconfigured
+        to_crlf(root / TARGETS_RELPATH)
+        with pytest.raises(DslSyntaxError) as info:
+            configure(root, tmp_path / "build", input_dir="data")
+        assert str(info.value) == f"{TARGETS_RELPATH}:1: CR line ending (files must use LF)"
+
+    def test_cli_exit_1(self, demo_project):
+        to_crlf(demo_project / LOCAL_CONFIG)
+        proc = run_cli(demo_project, "make", "--offline")
+        assert proc.returncode == 1
+        assert f"{LOCAL_CONFIG}:1: CR line ending" in proc.stderr

@@ -13,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lineage_forge import state
+from lineage_forge.parser import VERIFY_MANIFEST
+from lineage_forge.project import LocalConfig, run_record
 from lineage_forge.errors import FileMissing
 from lineage_forge.verify import (
     Filter,
     VerificationEntry,
     filtered_digest,
     parse_manifest,
-    record_manifest,
     serialize_manifest,
     verify_all,
 )
@@ -239,12 +240,23 @@ class TestVerifyAll:
         )
 
 
+def record(paths: list[str], filt: Filter, algorithm: str, build: Path) -> str:
+    """Pin `paths` with `verify --record`'s routine, `run_record`, in a
+    project whose build directory is `build`, and return the manifest it
+    wrote. The project lives in `build` too, which nothing here lists."""
+    root = build / "project"
+    root.mkdir(exist_ok=True)
+    LocalConfig(build_dir=str(build)).save(root)
+    run_record(root, paths, filt, algorithm)
+    return (root / VERIFY_MANIFEST).read_text(encoding="utf-8")
+
+
 class TestRecordManifest:
     def test_record_then_verify_unchanged_passes(self, tmp_path):
         build = tmp_path / "bd"
         build.mkdir()
         (build / "out.txt").write_bytes(b"# header\nstable\n")
-        text = record_manifest(["out.txt"], STRIP, "sha256", build)
+        text = record(["out.txt"], STRIP, "sha256", build)
         report = verify_all(parse_manifest(text), build)
         assert report.ok
 
@@ -252,7 +264,7 @@ class TestRecordManifest:
         build = tmp_path / "bd"
         build.mkdir()
         (build / "out.txt").write_bytes(b"# made at noon\ndata row\n")
-        text = record_manifest(["out.txt"], STRIP, "sha256", build)
+        text = record(["out.txt"], STRIP, "sha256", build)
         (build / "out.txt").write_bytes(b"# made at midnight\ndata row\n")
         assert verify_all(parse_manifest(text), build).ok
 
@@ -260,7 +272,7 @@ class TestRecordManifest:
         build = tmp_path / "bd"
         build.mkdir()
         (build / "out.txt").write_bytes(b"# header\ndata row\n")
-        text = record_manifest(["out.txt"], STRIP, "sha256", build)
+        text = record(["out.txt"], STRIP, "sha256", build)
         (build / "out.txt").write_bytes(b"# header\nedited row\n")
         report = verify_all(parse_manifest(text), build)
         assert [r.status for r in report.results] == ["mismatch"]
@@ -270,13 +282,13 @@ class TestRecordManifest:
         build.mkdir()
         for name in ("zz.txt", "aa.txt"):
             (build / name).write_bytes(b"x\n")
-        text = record_manifest(["zz.txt", "aa.txt"], NONE, "sha256", build)
+        text = record(["zz.txt", "aa.txt"], NONE, "sha256", build)
         paths = [line.split("\t")[0] for line in text.splitlines()]
         assert paths == ["aa.txt", "zz.txt"]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(FileMissing):
-            record_manifest(["ghost.txt"], NONE, "sha256", tmp_path)
+            record(["ghost.txt"], NONE, "sha256", tmp_path)
 
 
 class TestManifestFormat:
@@ -311,7 +323,7 @@ class TestManifestFormat:
     def test_every_allowed_prefix_survives_record_and_parse(self, tmp_path, prefix):
         (tmp_path / "out.txt").write_bytes(prefix.encode("ascii") + b" stamp\n data\n")
         filt = Filter("strip-comments", prefix)
-        text = record_manifest(["out.txt"], filt, "sha256", tmp_path)
+        text = record(["out.txt"], filt, "sha256", tmp_path)
         [entry] = parse_manifest(text)
         assert entry.filter == filt
         assert entry.expected == hashlib.sha256(b" data\n").hexdigest()
