@@ -242,7 +242,6 @@ def execute(
     build_dir: str | Path | None = None,
     on_event: Callable[[dict], None] | None = None,
     group_gid: int | None = None,
-    raise_on_error: bool = True,
     cache: DigestCache | None = None,
 ) -> ExecutionReport:
     """Bring the goal up to date, running at most `jobs` recipes at once.
@@ -358,7 +357,7 @@ def execute(
             log.close()
 
     report.failed = failure
-    if failure is not None and raise_on_error:
+    if failure is not None:
         assert failure_exc is not None
         failure_exc.report = report  # type: ignore[attr-defined]
         raise failure_exc

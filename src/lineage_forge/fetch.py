@@ -11,9 +11,7 @@ taken from explicit configuration only, never from the host environment.
 from __future__ import annotations
 
 import logging
-import os
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +24,7 @@ from .errors import (
     OfflineAndMissing,
 )
 from .parser import InputSpec
-from .state import DigestCache, file_digest
+from .state import DigestCache, file_digest, staged
 
 log = logging.getLogger("lineage_forge.fetch")
 
@@ -117,43 +115,31 @@ def download(
     backoff_seconds: tuple[float, ...] = DEFAULT_BACKOFF,
     sleep: Callable[[float], None] = time.sleep,
 ) -> None:
-    """Fetch `url` to `dest` atomically (temp file + rename).
+    """Fetch `url` to `dest` atomically, each attempt through `staged`.
 
     Connection and 5xx failures are retried up to `retries` times with the
     given backoff schedule; a 404 (any 4xx) is terminal immediately. No
     partial file is ever left at `dest`.
     """
-    dest = Path(dest)
-    dest.parent.mkdir(parents=True, exist_ok=True)
-    attempts = 0
     last_error = ""
     for attempt in range(retries + 1):
-        attempts += 1
-        fd, tmp_name = tempfile.mkstemp(dir=dest.parent, prefix=dest.name + ".part-")
-        tmp = Path(tmp_name)
         try:
-            with os.fdopen(fd, "wb") as sink:
+            with staged(dest) as tmp, open(tmp, "wb") as sink:
                 transport.fetch(url, sink)
-            os.replace(tmp, dest)
             if attempt > 0:
-                log.info("download of %s succeeded on attempt %d", url, attempts)
+                log.info("download of %s succeeded on attempt %d", url, attempt + 1)
             return
         except TerminalNetworkError as exc:
-            tmp.unlink(missing_ok=True)
             if exc.status == 404:
                 raise NotFound(url) from exc
-            raise DownloadFailed(url, attempts, str(exc)) from exc
+            raise DownloadFailed(url, attempt + 1, str(exc)) from exc
         except TransientNetworkError as exc:
-            tmp.unlink(missing_ok=True)
             last_error = str(exc)
-            log.info("download attempt %d for %s failed: %s", attempts, url, exc)
+            log.info("download attempt %d for %s failed: %s", attempt + 1, url, exc)
             if attempt < retries:
                 delay = backoff_seconds[min(attempt, len(backoff_seconds) - 1)]
                 sleep(delay)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    raise DownloadFailed(url, attempts, last_error)
+    raise DownloadFailed(url, retries + 1, last_error)
 
 
 class InputResolver:
@@ -195,7 +181,7 @@ class InputResolver:
         if self.input_dir is not None:
             candidate = self.input_dir / spec.filename
             if candidate.exists():
-                return self._import(spec, lambda staging: shutil.copyfile(candidate, staging),
+                return self._import(spec, lambda tmp: shutil.copyfile(candidate, tmp),
                                     str(candidate), "input directory")
 
         if self.offline:
@@ -204,25 +190,22 @@ class InputResolver:
             raise DownloadFailed(spec.url, 0, "no transport configured")
         return self._import(
             spec,
-            lambda staging: download(spec.url, staging, self.transport, retries=self.retries,
-                                     backoff_seconds=self.backoff_seconds),
+            lambda tmp: download(spec.url, tmp, self.transport, retries=self.retries,
+                                 backoff_seconds=self.backoff_seconds),
             spec.url, "download",
         )
 
     def _import(self, spec: InputSpec, write: Callable[[Path], object],
                 source: str, stage: str) -> Path:
-        """Write the pin's bytes to a staging name, so unverified bytes never
-        sit at a path rules can read; move them into place only once their
-        digest matches."""
-        self.inputs_dir.mkdir(parents=True, exist_ok=True)
+        """Write and check the pin's bytes at `staged`'s temp name, so
+        unverified bytes never sit at a path rules can read; only the bytes
+        checked are renamed into place."""
         dest = self.inputs_dir / spec.filename
-        staging = dest.with_name(dest.name + ".staging")
-        write(staging)
-        mismatch = verify_checksum(staging, spec.algorithm, spec.digest)
-        if mismatch is not None:
-            staging.unlink(missing_ok=True)
-            raise ChecksumMismatch(source, stage, spec.digest, mismatch.actual_hex)
-        os.replace(staging, dest)
+        with staged(dest) as tmp:
+            write(tmp)
+            mismatch = verify_checksum(tmp, spec.algorithm, spec.digest)
+            if mismatch is not None:
+                raise ChecksumMismatch(source, stage, spec.digest, mismatch.actual_hex)
         return dest
 
     def resolve_all(self, specs: list[InputSpec]) -> dict[str, Path]:

@@ -55,7 +55,7 @@ from .provenance import (
     machine_info,
 )
 from .software import TARGETS_RELPATH, parse_targets, verify_tarballs, version_macros
-from .state import DIGESTS_RELPATH, STATE_RELPATH, BuildState, DigestCache
+from .state import DIGESTS_RELPATH, STATE_RELPATH, BuildState, DigestCache, staged
 from .verify import (
     Filter,
     VerificationEntry,
@@ -136,7 +136,8 @@ class LocalConfig:
         text = serialize_config(
             [ConfigParam(k, v, Origin(LOCAL_CONFIG, i + 1)) for i, (k, v) in enumerate(params)]
         )
-        (Path(root) / LOCAL_CONFIG).write_text(text, encoding="utf-8")
+        with staged(Path(root) / LOCAL_CONFIG) as tmp:
+            tmp.write_text(text, encoding="utf-8")
 
     def resolve_dir(self, root: str | Path, value: str | None) -> Path | None:
         if value is None:
@@ -379,16 +380,16 @@ def _software_builtins(root: Path) -> tuple[str, list, list]:
 
 def _emit_bibliography(root: Path, build_dir: Path, entries: list) -> Path | None:
     """Concatenate per-software .bib fragments, verbatim, in name order."""
-    chunks: list[str] = []
+    chunks: list[bytes] = []
     for entry in entries:
         fragment = root / BIBTEX_DIR / f"{entry.name}.bib"
         if fragment.is_file():
-            chunks.append(fragment.read_text(encoding="utf-8"))
+            chunks.append(fragment.read_bytes())
     if not chunks:
         return None
     out = build_dir / BIBLIOGRAPHY_RELPATH
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("".join(chunks), encoding="utf-8")
+    with staged(out) as tmp:
+        tmp.write_bytes(b"".join(chunks))
     return out
 
 
@@ -523,8 +524,8 @@ def _aggregate_stage(
     ]
     text = aggregate_macros(macro_files, builtins)
     out = build_dir / AGGREGATE_RELPATH
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8")
+    with staged(out) as tmp:
+        tmp.write_text(text, encoding="utf-8")
     if group_gid is not None:
         try:
             os.chown(out, -1, group_gid)
@@ -584,8 +585,8 @@ def run_record(
             digest = filtered_digest(build_dir / rel, entry.filter, entry.algorithm)
             entries[rel] = VerificationEntry(rel, entry.algorithm, digest, entry.filter)
     result = sorted(entries.values(), key=lambda e: e.path)
-    manifest.parent.mkdir(parents=True, exist_ok=True)
-    manifest.write_text(serialize_manifest(result), encoding="utf-8")
+    with staged(manifest) as tmp:
+        tmp.write_text(serialize_manifest(result), encoding="utf-8")
     return result
 
 

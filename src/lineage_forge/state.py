@@ -17,8 +17,8 @@ next (see DigestCache); it may be deleted at any time. So may
 `lineage.json`, the parsed project, one record per DSL file (see
 `lineage_cache.py`). Both caches trust a file by its StatKey under one
 racy rule (`trusted`): `digests.tsv` per large file, `lineage.json` per
-DSL file's record. Both are written by one replacing writer
-(`replace_file`).
+DSL file's record. Every file the engine owns is written by `staged`;
+`replace_file`, its form for the caches, logs a failed write instead.
 """
 
 from __future__ import annotations
@@ -60,20 +60,37 @@ def trusted(current: StatKey, recorded: StatKey, written_ns: int) -> bool:
     return current == recorded and max(current[3:]) < written_ns
 
 
-def replace_file(path: Path, data: bytes) -> None:
-    """Write `data` to a temp file in `path`'s directory and rename it
-    over `path`, so a reader never sees half a file. It is created with
-    the umask's mode, as build-state.tsv is, so a shared build group can
-    read it. Only caches are written this way: there is no fsync, and a
-    write that fails is logged, not raised."""
+@contextlib.contextmanager
+def staged(path: str | Path) -> Iterator[Path]:
+    """Replace `path` with the file the block writes at the yielded temp
+    path, `<name>.<pid>` in `path`'s directory (made if missing). A normal
+    exit renames the temp over `path`; any exception, KeyboardInterrupt
+    included, removes it and leaves `path` as it was. The file gets the
+    umask's mode, so a build group can read it. No fsync yet.
+
+    Written in place instead: recipe logs (the children write them), the
+    `demo` tree, `configure`'s write probe, the user's `.gitignore`, and
+    the user-named outputs of `graph --out` and `dist`, which may be
+    `/dev/stdout`, a FIFO or a symlink that a rename would replace."""
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
+        yield tmp
         os.replace(tmp, path)
-    except OSError as exc:
-        with contextlib.suppress(OSError):  # nor may its directory exist
+    except BaseException:
+        with contextlib.suppress(OSError):  # the block may not have made it
             tmp.unlink()
+        raise
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Write a cache through `staged`; a cache may be lost at any time,
+    so a write that fails is logged, not raised."""
+    try:
+        with staged(path) as tmp:
+            tmp.write_bytes(data)
+    except OSError as exc:
         log.warning("%s: could not write the cache: %s", path, exc)
 
 
@@ -179,8 +196,6 @@ class BuildState:
     def save(self, build_dir: str | Path) -> None:
         if not self.changed:
             return
-        path = Path(build_dir) / STATE_RELPATH
-        path.parent.mkdir(parents=True, exist_ok=True)
         lines = []
         for target in sorted(self.records):
             rec = self.records[target]
@@ -194,7 +209,8 @@ class BuildState:
                     ]
                 )
             )
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with staged(Path(build_dir) / STATE_RELPATH) as tmp:
+            tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         self.changed = False
 
 

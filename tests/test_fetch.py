@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
@@ -244,8 +245,26 @@ class TestResolveInput:
         resolver = InputResolver(tmp_path / "bd", None, transport=transport)
         with pytest.raises(ChecksumMismatch):
             resolver.resolve(spec_for(good))
-        # neither the final path nor any staging leftover exists
+        # neither the final path nor any temp leftover exists
         assert list((tmp_path / "bd" / "inputs").iterdir()) == []
+
+    def test_imported_inputs_get_the_umask_mode(self, tmp_path):
+        # Readable by a build group (`configure --group`) as a plain new file is.
+        data = b"rows\n"
+        input_dir = tmp_path / "hostdata"
+        input_dir.mkdir()
+        (input_dir / "copied.csv").write_bytes(data)
+        resolver = InputResolver(tmp_path / "bd", input_dir, transport=StubTransport([data]))
+        old_umask = os.umask(0o022)
+        try:
+            copied = resolver.resolve(spec_for(data, name="C", filename="copied.csv"))
+            downloaded = resolver.resolve(spec_for(data, name="D", filename="downloaded.csv"))
+            plain = tmp_path / "plain"
+            plain.write_bytes(b"")
+        finally:
+            os.umask(old_umask)
+        assert copied.stat().st_mode == plain.stat().st_mode
+        assert downloaded.stat().st_mode == plain.stat().st_mode
 
     def test_resolve_all_multiple_inputs(self, tmp_path):
         a, b = b"alpha\n", b"beta\n"

@@ -148,11 +148,13 @@ class TestGroupMode:
 
 class TestBibliography:
     def test_bib_fragments_passed_through_verbatim(self, demo_project):
-        run_make(demo_project)
         build = Path(os.readlink(demo_project / ".build"))
-        bib = (build / "tex" / "software.bib").read_text()
-        fragment = (demo_project / "reproduce/software/bibtex/demo-toolkit.bib").read_text()
-        assert bib == fragment  # only one fragment in the demo
+        fragment = demo_project / "reproduce/software/bibtex/demo-toolkit.bib"
+        for newline in (b"\n", b"\r\n"):
+            fragment.write_bytes(fragment.read_bytes().replace(b"\n", newline))
+            run_make(demo_project)
+            bib = (build / "tex" / "software.bib").read_bytes()
+            assert bib == fragment.read_bytes()  # only one fragment in the demo
 
 
 class TestUpstreamMacro:
