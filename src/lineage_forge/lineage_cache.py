@@ -6,25 +6,24 @@ that what a file yields is keyed by that file alone.
 
 The file is JSON lines: a header, then one line per DSL file in load
 order. The header holds the format number, the engine's `__version__`,
-the entry file, the variables, the input pins, the topological order,
-and, as runs of (file, count), the order in which the templates of all
-files meet in the statement stream. A file's
+the entry file, the variables and the topological order. A file's
 record holds its path, its StatKey and its items in source order: each
 assignment (key, value, line), each include directive (pattern, `?`
 flag, line) and each template (line, the names its texts read, the rules
 it expanded to), then each include pattern with the paths it matched.
 
 A record is trusted while its file's StatKey holds under
-`state.trusted`, against the cache file's mtime. While the entry file
-and every file an include matched have a trusted record, and every
-include glob, matched again on each lookup, names the same files,
-nothing is parsed: that is a hit. Otherwise the include walk
-(`flatten_statements`) takes every trusted file's items from its record,
-each run of its templates as one `CachedRun`, and opens only the other
-files. A cached template keeps its rules unless it reads a name whose
-value changed; then only its own lines are read again. The graph is
-built anew. `save` encodes the records of the files that changed and
-writes every other record back as it was read.
+`state.trusted`, against the cache file's mtime. Every load walks the
+include tree (`flatten_statements`) the same way: it takes every trusted
+file's statements from its record, each run of its templates as one
+`CachedRun`, opens only the other files, and globs every include. A
+cached template keeps its rules unless it reads a name whose value
+changed; then only its own lines are read again. When no file was
+parsed, no template expanded and every include matched the paths its
+record holds, the load takes the graph from the header and writes
+nothing. Otherwise it builds the graph, and `save` encodes the records of
+the files that changed and writes every other record back as it was
+read.
 
 The file is written by `state.replace_file`. A missing or unreadable
 file, or a header of another format, version or entry, is treated as
@@ -37,10 +36,8 @@ it.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
-import posixpath
 from pathlib import Path
 
 from . import __version__
@@ -49,18 +46,16 @@ from .graph import BUILT, SOURCE, LineageGraph, Origin, Rule
 from .parser import (
     ConfigParam,
     IncludeDirective,
-    InputSpec,
     LoadedFile,
     ParsedFile,
     RuleTemplate,
-    include_matches,
     parse_workflow,
     references,
 )
 from .state import StatKey, replace_file, stat_key, trusted
 
 LINEAGE_RELPATH = "state/lineage.json"
-FORMAT = 3
+FORMAT = 4
 
 
 def _texts(value: object) -> list[str]:
@@ -72,10 +67,10 @@ def _texts(value: object) -> list[str]:
 
 class _Record:
     """One DSL file's line of the cache, decoded: its StatKey, its items
-    as stored, the rules of each template in order, each include pattern
-    with the paths it matched, and the line as read."""
+    as stored and, once `decode` has checked them, its statements, each
+    include pattern with the paths it matched, and the line as read."""
 
-    __slots__ = ("path", "key", "items", "rules", "globs", "line")
+    __slots__ = ("path", "key", "items", "file", "globs", "line")
 
     def __init__(self, line: str):
         record = json.loads(line)
@@ -91,13 +86,16 @@ class _Record:
         "".join(pattern for pattern, _matches in self.globs)
 
     def decode(self) -> None:
-        """Check every item and build the rules of each template.
+        """Check every item and build the file's statements as parsing it
+        gives them, but with each run of consecutive templates as one
+        CachedRun.
 
         The hot loop, with its type checks inline: `split` raises unless
         called on a string, and `join` unless every item is one."""
-        join, path = "".join, self.path
-        rules: list[list[Rule]] = []
-        for item in self.items:
+        join, path, items = "".join, self.path, self.items
+        out: list[object] = []
+        start, rules = 0, []  # where the current run of templates starts; their rules
+        for item in items:
             head = item[0]
             if type(head) is int:
                 line, reads, targets, prereqs, *recipes = item
@@ -111,36 +109,28 @@ class _Record:
                 if not expanded:
                     raise ValueError("template without rules")
                 rules.append(expanded)
-            elif head == "=" or head == "include":
+                continue
+            if rules:
+                out.append(CachedRun(path, items[start:start + len(rules)], rules))
+                start, rules = start + len(rules), []
+            start += 1
+            if head == "=" or head == "include":
                 _head, line, first, second = item
                 if type(line) is not int or type(first) is not str or \
                         type(second) is not (str if head == "=" else bool):
                     raise ValueError("malformed item")
+                statement = ConfigParam if head == "=" else IncludeDirective
+                out.append(statement(first, second, Origin(path, line)))
             else:
                 raise ValueError("malformed item")
-        self.rules = rules
-
-    def parsed(self) -> ParsedFile:
-        """The file's statements as parsing it gives them, but with each
-        run of consecutive templates as one CachedRun."""
-        items: list[object] = []
-        rules = iter(self.rules)
-        for item in self.items:
-            if item[0] == "=":
-                items.append(ConfigParam(item[2], item[3], Origin(self.path, item[1])))
-            elif item[0] == "include":
-                items.append(IncludeDirective(item[2], item[3], Origin(self.path, item[1])))
-            else:
-                if not (items and type(items[-1]) is CachedRun):
-                    items.append(CachedRun(self.path, [], []))
-                items[-1].items.append(item)
-                items[-1].rules.append(next(rules))
-        return ParsedFile(self.path, items)
+        if rules:
+            out.append(CachedRun(path, items[start:], rules))
+        self.file = ParsedFile(path, out)
 
 
 class CachedRun:
     """Consecutive templates of a trusted file, as its record holds them:
-    the item of each and the rules each expanded to. One item of a miss's
+    the item of each and the rules each expanded to. One item of the
     statement stream for all of them."""
 
     __slots__ = ("path", "items", "rules")
@@ -148,26 +138,18 @@ class CachedRun:
     def __init__(self, path: str, items: list[list], rules: list[list[Rule]]):
         self.path, self.items, self.rules = path, items, rules
 
-    def expanded(self) -> list[Rule]:
-        return [rule for rules in self.rules for rule in rules]
-
 
 class LineageCache:
     """One lineage.json, as read by `load`.
 
-    `records` holds the record of every file it trusts, by path, and
-    `env` the variables the load that wrote it found. On a hit, `rules`
-    holds every rule the templates expanded to, in order, and `files`,
-    `input_specs` and `order` what that load found too. A cache that
-    could not be used holds nothing."""
+    `records` holds the record of every file it trusts, by path, `env`
+    the variables the load that wrote it found, and `order` the
+    topological order of its graph. A cache that could not be used holds
+    nothing, and so serves no file."""
 
     def __init__(self, path: Path):
         self.path = path
-        self.hit = False
-        self.files: list[str] = []
         self.env: dict[str, str] = {}
-        self.rules: list[Rule] = []
-        self.input_specs: list[InputSpec] = []
         self.order: list[str] = []
         self.records: dict[str, _Record] = {}
 
@@ -180,22 +162,17 @@ class LineageCache:
                 header, *lines = fh.read().decode("ascii").split("\n")
             doc = json.loads(header)
             if (doc["format"], doc["version"], doc["entry"]) == (FORMAT, __version__, entry):
-                cache._decode(doc, lines, root, entry, written_ns)
+                cache._decode(doc, lines, root, written_ns)
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
             return cls(cache.path)
         return cache
 
-    def _decode(self, doc: dict, lines: list[str], root: Path, entry: str,
-                written_ns: int) -> None:
-        """Check the header, keep every record whose file is trusted, and
-        on a hit decode what the project needs: a hit needs a record for
-        the entry file and for every path an include matched."""
-        if type(doc["env"]) is not dict or any(
-                type(doc[name]) is not list for name in ("inputs", "order", "runs")):
+    def _decode(self, doc: dict, lines: list[str], root: Path, written_ns: int) -> None:
+        """Check the header and keep every record whose file is trusted."""
+        if type(doc["env"]) is not dict:
             raise ValueError("malformed cache")
-        env = doc["env"]
-        "".join(env.values())  # a TypeError unless every value is a string
-        self.env = env
+        "".join(doc["env"].values())  # a TypeError unless every value is a string
+        self.env, self.order = doc["env"], _texts(doc["order"])
         for line in lines:
             try:
                 record = _Record(line)
@@ -205,37 +182,23 @@ class LineageCache:
                     self.records[record.path] = record
             except (OSError, ValueError, TypeError, KeyError, IndexError, RecursionError):
                 continue  # its file, if reached, is parsed
-        reached = [posixpath.normpath(entry), *(match for record in self.records.values()
-                                                for _pattern, matches in record.globs
-                                                for match in matches)]
-        if any(path not in self.records for path in reached) or any(
-                include_matches(pattern, root) != matches
-                for record in self.records.values() for pattern, matches in record.globs):
-            return
-
-        for pin in doc["inputs"]:
-            if type(pin) is not list or len(pin) != 6 or pin[5] is not None \
-                    and type(pin[5]) is not str:
-                raise ValueError("malformed input pin")
-            self.input_specs.append(InputSpec(*_texts(pin[:5]), size_hint=pin[5]))
-        self.order = _texts(doc["order"])
-        templates = {path: iter(record.rules) for path, record in self.records.items()}
-        for path, count in doc["runs"]:
-            for expanded in itertools.islice(templates[path], count):
-                self.rules += expanded
-        if any(next(left, None) for left in templates.values()):
-            raise ValueError("runs do not cover the templates")
-        self.files = list(self.records)
-        self.hit = True
 
     def parsed(self) -> dict[str, tuple[ParsedFile, StatKey]]:
         """Per trusted file, its statements and its StatKey, for the
-        include walk of a miss."""
-        return {path: (record.parsed(), record.key) for path, record in self.records.items()}
+        include walk."""
+        return {path: (record.file, record.key) for path, record in self.records.items()}
+
+    def holds(self, files: list[LoadedFile]) -> bool:
+        """Whether the include walk took every file from its record and
+        every include matched the paths that record holds: then the
+        statements, and so the files' rules, are those this cache was
+        written from."""
+        records = self.records
+        return all(f.path in records and f.globs == records[f.path].globs for f in files)
 
     def graph(self, rules: list[Rule]) -> LineageGraph:
-        """On a hit, the cached graph over `rules`: the cached rules
-        without the goal alias. `order` lists every node."""
+        """The cached graph over `rules`, the rules this cache was written
+        from without the goal alias. `order` lists every node."""
         by_target = {rule.target: rule for rule in rules}
         nodes = {node: BUILT if node in by_target else SOURCE for node in sorted(self.order)}
         return LineageGraph(nodes=nodes, rules=by_target, order=self.order)
@@ -249,6 +212,8 @@ class LineageCache:
         since its record was trusted, so only the template's own lines are
         parsed. None if such a file has changed since, or its lines do not
         hold the template its record says they do."""
+        if env == self.env:
+            return templates
         users: dict[str, set[str]] = {}
         for name in self.env.keys() | env.keys():
             for value in (self.env.get(name, ""), env.get(name, "")):
@@ -261,8 +226,6 @@ class LineageCache:
                 if user not in affected:
                     affected.add(user)
                     todo.append(user)
-        if not affected:
-            return templates
 
         out: list[RuleTemplate | CachedRun] = []
         stale: dict[str, list[int]] = {}  # by file, where its stale templates are in `out`
@@ -303,10 +266,9 @@ class LineageCache:
         return out
 
     def save(self, entry: str, files: list[LoadedFile], env: dict[str, str],
-             templates: list[RuleTemplate | CachedRun], expanded: list[list[Rule]],
-             input_specs: list[InputSpec], graph: LineageGraph) -> None:
-        """Write what one load found; `expanded` holds, in order, the
-        rules each RuleTemplate was expanded to, or each CachedRun's own.
+             expanded: list[tuple[RuleTemplate, list[Rule]]], graph: LineageGraph) -> None:
+        """Write what one load found; `expanded` holds each template the
+        load expanded, with its rules.
 
         A template is one item: its line, the names its texts read, its
         targets and its prerequisites, each joined by spaces, then each
@@ -315,17 +277,7 @@ class LineageCache:
         newline, so all split back exactly. A file whose record was
         trusted, whose templates all kept their rules and whose includes
         matched the same paths keeps its line as it was read."""
-        fresh = {(t.origin.path, t.origin.line): (t, rules)
-                 for t, rules in zip(templates, expanded, strict=True)
-                 if type(t) is RuleTemplate}
-        runs: list[list] = []
-        for t in templates:
-            path, count = ((t.origin.path, 1) if type(t) is RuleTemplate
-                           else (t.path, len(t.items)))
-            if runs and runs[-1][0] == path:
-                runs[-1][1] += count
-            else:
-                runs.append([path, count])
+        fresh = {(t.origin.path, t.origin.line): (t, rules) for t, rules in expanded}
 
         def template(t: RuleTemplate, rules: list[Rule]) -> list:
             reads = set().union(*map(references, (t.target_text, t.prereq_text, *t.recipe)))
@@ -354,10 +306,7 @@ class LineageCache:
             "version": __version__,
             "entry": entry,
             "env": env,
-            "inputs": [[s.name, s.filename, s.algorithm, s.digest, s.url, s.size_hint]
-                       for s in input_specs],
             "order": graph.order,
-            "runs": runs,
         }, **compact)]
         for f in files:
             record = self.records.get(f.path)

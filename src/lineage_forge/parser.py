@@ -129,6 +129,16 @@ def _reject_carriage_returns(text: str, origin: str) -> None:
         raise DslSyntaxError(origin, lineno, "CR line ending (files must use LF)")
 
 
+def split_lines(text: str) -> list[str]:
+    """`text`'s lines, split at LF alone. `str.splitlines` also splits at
+    a form feed, a vertical tab, U+2028 and others, which the DSL keeps
+    inside a line; every parser numbers lines with this one."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the final LF, or of an empty text
+    return lines
+
+
 def _is_comment_or_blank(line: str) -> bool:
     stripped = line.lstrip()
     return not stripped or stripped.startswith("#")
@@ -142,7 +152,7 @@ def parse_config(text: str, origin: str) -> list[ConfigParam]:
     """
     _reject_carriage_returns(text, origin)
     params: dict[str, ConfigParam] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if _is_comment_or_blank(line):
             continue
         match = ASSIGNMENT_RE.match(line.strip())
@@ -189,7 +199,7 @@ def parse_workflow(text: str, origin: str) -> ParsedFile:
             )
             current_rule = None
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if line.startswith("\t"):
             if current_rule is None:
                 raise DslSyntaxError(origin, lineno, "recipe line outside a rule")

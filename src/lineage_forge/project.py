@@ -80,7 +80,7 @@ EventCallback = Callable[[dict], None]
 
 def _read_as_written(path: Path) -> str:
     """A project file's text with no newline translation, so that its
-    parser sees, and rejects, any CR."""
+    parser sees, and rejects, any CR, and `.gitignore` keeps its endings."""
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
@@ -164,16 +164,12 @@ class Project:
              build_dir: str | Path | None = None) -> "Project":
         """Parse the project. With `build_dir`, the result is looked up in
         and written to `<build>/state/lineage.json` (see `LineageCache`):
-        while no DSL file changed, nothing is parsed, and after an edit,
-        only the changed files are."""
+        only the DSL files that changed are parsed and only the templates
+        an edit reaches are expanded. When nothing was parsed or expanded
+        and every include matched as before, the cached graph is used and
+        nothing is written."""
         root = Path(root)
         cache = None if build_dir is None else LineageCache.load(build_dir, root, entry)
-        if cache is not None and cache.hit:
-            goal, rules = _split_goal(cache.rules, entry)
-            return cls(root=root, entry=entry, env=cache.env, rules=rules,
-                       graph=cache.graph(rules), goal=goal,
-                       stages=_stages(entry, cache.files), input_specs=cache.input_specs)
-
         files, statements = flatten_statements(
             entry, root, cached=None if cache is None else cache.parsed())
         env = build_env(statements, builtins={"BDIR": BUILD_LINK})
@@ -185,11 +181,21 @@ class Project:
                 return cls.load(root, entry)
         todo = [t for t in templates if type(t) is RuleTemplate]
         # Each template expands to one or more rules, all with its origin.
-        new = (list(group) for _origin, group in
-               itertools.groupby(instantiate_rules(todo, env), operator.attrgetter("origin")))
-        expanded = [next(new) if type(t) is RuleTemplate else t.expanded() for t in templates]
-        goal, rules = _split_goal([r for rules in expanded for r in rules], entry)
-        graph = build_graph(rules)
+        new = [list(group) for _origin, group in
+               itertools.groupby(instantiate_rules(todo, env), operator.attrgetter("origin"))]
+        fresh = iter(new)
+        all_rules: list[Rule] = []
+        for t in templates:
+            if type(t) is RuleTemplate:
+                all_rules += next(fresh)
+            else:
+                for rules in t.rules:
+                    all_rules += rules
+        goal, rules = _split_goal(all_rules, entry)
+        # What the cache holds is the project as it is now: no file was
+        # parsed, no template expanded, and every include matched the same.
+        reuse = cache is not None and not todo and cache.holds(files)
+        graph = cache.graph(rules) if reuse else build_graph(rules)
 
         inputs_params: list[ConfigParam] = []
         for loaded in files:
@@ -200,8 +206,8 @@ class Project:
                 inputs_params = list(latest.values())
         input_specs = parse_inputs_manifest(inputs_params) if inputs_params else []
 
-        if cache is not None:
-            cache.save(entry, files, env, templates, expanded, input_specs, graph)
+        if cache is not None and not reuse:
+            cache.save(entry, files, env, list(zip(todo, new)), graph)
         return cls(
             root=root,
             entry=entry,
@@ -350,12 +356,18 @@ def _group_gid(group: str | None) -> int | None:
 
 
 def _ensure_ignored(root: Path, entries: list[str]) -> None:
+    """Append to the user's .gitignore each entry that is not yet one of
+    its lines, in the file's own line ending; its bytes stay as they are."""
     ignore = root / ".gitignore"
-    existing = ignore.read_text(encoding="utf-8").splitlines() if ignore.is_file() else []
+    text = _read_as_written(ignore) if ignore.is_file() else ""
+    existing = {line.removesuffix("\r") for line in text.split("\n")}
     additions = [e for e in entries if e not in existing]
     if additions:
-        text = "".join(line + "\n" for line in existing + additions)
-        ignore.write_text(text, encoding="utf-8")
+        eol = "\r\n" if "\r\n" in text else "\n"
+        if text and not text.endswith("\n"):
+            text += eol
+        ignore.write_text(text + "".join(e + eol for e in additions), encoding="utf-8",
+                          newline="")
 
 
 @dataclass

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .errors import DslSyntaxError, DuplicateMacro, MissingStageMacroFile
 from .graph import SOURCE, LineageGraph
+from .parser import split_lines
 
 MACRO_RE = re.compile(r"^\\newcommand\{\\([A-Za-z]+)\}\{(.*)\}$")
 MACRO_NAME_RE = re.compile(r"^[A-Za-z]+$")
@@ -68,7 +69,7 @@ def parse_macro_file(text: str, origin: str = "macros") -> list[MacroDefinition]
     """Parse `\\newcommand{\\name}{value}` lines; anything else is an error."""
     macros: list[MacroDefinition] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         match = MACRO_RE.match(line)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, DuplicateSoftware, MalformedDigest, NameCollision
-from .parser import _HEX_RE, _reject_carriage_returns
+from .parser import _HEX_RE, _reject_carriage_returns, split_lines
 from .provenance import MacroDefinition
 from .state import file_digest
 
@@ -60,7 +60,7 @@ def parse_targets(text: str, origin: str = TARGETS_RELPATH) -> list[SoftwareEntr
     """
     _reject_carriage_returns(text, origin)
     entries: dict[str, SoftwareEntry] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, FileMissing, UsageError
-from .parser import DIGEST_LENGTHS, _HEX_RE, _reject_carriage_returns
+from .parser import DIGEST_LENGTHS, _HEX_RE, _reject_carriage_returns, split_lines
 from .state import DigestCache, file_digest
 
 FILTER_NONE = "none"
@@ -121,7 +121,7 @@ def parse_manifest(text: str, origin: str = "verify.conf") -> list[VerificationE
     """Parse the TSV manifest; blank lines and `#` comments are ignored."""
     _reject_carriage_returns(text, origin)
     entries: list[VerificationEntry] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -13,11 +13,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from conftest import init_repo
-from lineage_forge import project
+from lineage_forge import lineage_cache, parser, project
 from lineage_forge.demo import create_demo_project
 from lineage_forge.executor import DIGEST
 
@@ -71,16 +72,26 @@ def test_second_make_parses_nothing(tmp_path):
     init_repo(root)
     project.configure(root, tmp_path / "build", input_dir="data")
     project.run_make(root, offline=True)
+    parsed = []
+    real = parser.parse_workflow
+
+    def spy(text, origin):
+        parsed.append(origin)
+        return real(text, origin)
+
     tracer = TRACING_MODULE.Tracer()
     tracer.install()
     try:
         tracer.begin_op("make")
-        project.run_make(root, offline=True)
+        with mock.patch.object(parser, "parse_workflow", spy), \
+                mock.patch.object(lineage_cache, "parse_workflow", spy):
+            project.run_make(root, offline=True)
     finally:
         tracer.uninstall()
     recorded = {span.name for span in tracer.spans}
     assert "project.Project.load" in recorded
-    assert sorted(n for n in recorded if n.startswith("parser.") or n == "graph.build_graph") == []
+    assert "graph.build_graph" not in recorded
+    assert parsed == []
 
 
 def test_perfbench_own_tests_pass():

@@ -3,7 +3,7 @@
 After every edit, `Project.load(root, build_dir=...)` must return what
 `Project.load(root)` returns, field by field, or raise the same error
 with the same message; and a load that follows a successful cached one,
-with nothing changed in between, must be a hit."""
+with nothing changed in between, must parse, expand and build nothing."""
 
 from __future__ import annotations
 
@@ -95,6 +95,31 @@ def outcome(root: Path, build_dir: Path | None = None):
         return ("error", type(exc).__name__, str(exc))
     return (p.rules, list(p.graph.nodes.items()), p.graph.order, list(p.graph.rules.items()),
             list(p.env.items()), p.stages, p.input_specs, p.goal)
+
+
+def reused(root: Path, build: Path) -> bool:
+    """Whether a cached load now parses no file, expands no template and
+    builds no graph, but takes all of it from the cache. The cache is not
+    written: `save` is stubbed out, so it stays as it was."""
+    work: list[str] = []
+
+    def spy(module, name: str):
+        real = getattr(module, name)
+
+        def call(*args):
+            if name != "instantiate_rules" or args[0]:
+                work.append(name)
+            return real(*args)
+        return mock.patch.object(module, name, call)
+
+    with spy(parser, "parse_workflow"), spy(lineage_cache, "parse_workflow"), \
+            spy(project, "instantiate_rules"), spy(project, "build_graph"), \
+            mock.patch.object(LineageCache, "save", lambda *args: work.append("save")):
+        try:
+            Project.load(root, build_dir=build)
+        except Exception:
+            return False
+    return not work
 
 
 def dsl_files(root: Path) -> list[Path]:
@@ -245,7 +270,7 @@ def edit_in_cache_tick(root: Path, build: Path, n: int) -> None:
     written it: a record forged before, and not yet rewritten by a load,
     would pass for trusted once the forged cache is newer than its file."""
     cache = build / LINEAGE_RELPATH
-    if not LineageCache.load(build, root, DEFAULT_ENTRY).hit:
+    if not reused(root, build):
         return
     try:
         header, *records = cache.read_bytes().split(b"\n")
@@ -304,7 +329,7 @@ def garble_cache(root: Path, build: Path, n: int) -> None:
             doc = {k: v for k, v in doc.items() if k != keys[n % len(keys)]}
         elif kind == 4:
             wrong = [5, "x", None, [5], {"k": 5}][n // 7 % 5]
-            doc = {**doc, ["env", "inputs", "order", "runs"][n // 35 % 4]: wrong}
+            doc = {**doc, ["env", "order"][n // 35 % 2]: wrong}
         else:
             doc = [doc]
         garbled = json.dumps(doc).encode() + newline + records
@@ -364,7 +389,7 @@ def check_sequence(root: Path, build: Path, steps) -> None:
         assert outcome(root, build) == want, (edit and edit.__name__, n)
         if want[0] != "error":
             # The cache written by that load is newer than every file.
-            assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+            assert reused(root, build)
             assert outcome(root, build) == want, (edit and edit.__name__, n, "hit")
 
 
@@ -439,7 +464,7 @@ class TestGoalAlias:
             assert cached == uncached
             assert cached[-1] == goal
         wait_past(root, build.parent / "probe")
-        assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+        assert reused(root, build)
         assert outcome(root, build) == outcome(root)
 
     def test_includes_swapped_between_two_aliases(self, tiny):
@@ -462,8 +487,19 @@ class TestHitAndMiss:
         root, build = tiny
         wait_past(root, build.parent / "probe")
         want = outcome(root, build)
-        with mock.patch.object(project, "flatten_statements", side_effect=AssertionError):
+        expanded = []
+        real = project.instantiate_rules
+
+        def spy(templates, env):
+            expanded.extend(templates)
+            return real(templates, env)
+
+        with mock.patch.object(parser, "parse_workflow", side_effect=AssertionError), \
+                mock.patch.object(lineage_cache, "parse_workflow", side_effect=AssertionError), \
+                mock.patch.object(project, "build_graph", side_effect=AssertionError), \
+                mock.patch.object(project, "instantiate_rules", spy):
             assert outcome(root, build) == want
+        assert expanded == []
 
     def test_new_file_matching_an_include_glob_is_seen(self, tiny):
         root, build = tiny
@@ -534,7 +570,79 @@ class TestHitAndMiss:
         assert outcome(root, build) == outcome(root)
         wait_past(root, build.parent / "probe")
         assert outcome(root, build) == outcome(root)
-        assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+        assert reused(root, build)
+
+    def test_noop_make_leaves_the_cache_as_it_was(self, tmp_path):
+        root = tmp_path / "proj"
+        create_demo_project(root)
+        init_repo(root)
+        project.configure(root, tmp_path / "build", input_dir="data")
+        wait_past(root, tmp_path / "probe")
+        project.run_make(root, offline=True)
+        cache = tmp_path / "build" / LINEAGE_RELPATH
+        before = cache.read_bytes(), cache.stat().st_mtime_ns
+        project.run_make(root, offline=True)
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+
+    def test_optional_stage_file_removed(self, tiny):
+        """Every other file keeps its record, but the include that named
+        the removed file matches nothing now: the cached graph's nodes
+        would still hold the target that only its rule named."""
+        root, build = tiny
+        with open(root / MAKE_DIR / "two.wf", "a", encoding="utf-8") as fh:
+            fh.write("\n$(BDIR)/lone.txt:\n\ttrue\n")
+        wait_past(root, build.parent / "probe")
+        assert ".build/lone.txt" in dict(outcome(root, build)[1])
+        (root / MAKE_DIR / "two.wf").unlink()
+        cached = outcome(root, build)
+        assert cached == outcome(root)
+        assert ".build/lone.txt" not in dict(cached[1])
+
+    def test_header_that_disagrees_with_its_records_is_mended_once(self, tiny):
+        """A header whose variables are not those of its records makes a
+        load expand the templates that read them; that load writes the
+        cache, so the next one expands nothing."""
+        root, build = tiny
+        wait_past(root, build.parent / "probe")
+        want = outcome(root, build)
+        cache = build / LINEAGE_RELPATH
+        header, newline, rest = cache.read_bytes().partition(b"\n")
+        doc = json.loads(header)
+        doc["env"]["k2"] = "9"
+        write_damaged(cache, json.dumps(doc).encode() + newline + rest)
+        assert not reused(root, build)
+        assert outcome(root, build) == want
+        wait_past(root, build.parent / "probe")
+        assert reused(root, build)
+
+    def test_cache_of_the_previous_format_costs_one_full_parse(self, tiny):
+        root, build = tiny
+        wait_past(root, build.parent / "probe")
+        want = outcome(root, build)
+        cache = build / LINEAGE_RELPATH
+        header, newline, rest = cache.read_bytes().partition(b"\n")
+        doc = {**json.loads(header), "format": 3, "inputs": [], "runs": []}
+        write_damaged(cache, json.dumps(doc).encode() + newline + rest)
+        cached, parsed = cached_with_parses(root, build)
+        assert cached == want
+        assert parsed == {p.relative_to(root).as_posix() for p in dsl_files(root)}
+        assert json.loads(cache.read_bytes().partition(b"\n")[0])["format"] == 4
+
+
+class TestLinesSplitAtLfAlone:
+    def test_form_feed_in_a_comment_keeps_the_line_numbers(self, tiny):
+        """`str.splitlines` also breaks at a form feed, so the parser once
+        numbered lines differently from the cache's read of a template's
+        lines: `group`'s record named the line of `other.txt`, which the
+        cache then parsed as `group`'s own and defined twice."""
+        root, build = tiny
+        (root / MAKE_DIR / "two.wf").write_text(
+            "# page\f\n$(BDIR)/group: $(BDIR)/in-$(k0).txt\n"
+            "$(BDIR)/other.txt: $(BDIR)/group\n\ttouch $@\n", encoding="utf-8")
+        cached, uncached = cached_then_edited(root, build, f"{CONF_DIR}/a.conf",
+                                              "k0 = 5\nk1 = $(k0)x\n")
+        assert cached == uncached
+        assert ".build/in-5.txt" in dict(cached[1])
 
 
 def cached_with_parses(root: Path, build: Path):
@@ -612,7 +720,7 @@ class TestMissReadsWhatChanged:
         assert cached == want
         assert parsed == {damaged}
         wait_past(root, tmp_path / "probe")
-        assert LineageCache.load(build, root, DEFAULT_ENTRY).hit
+        assert reused(root, build)
 
 
 class TestRecordNoLongerMatchesItsFile:

@@ -37,6 +37,9 @@ from lineage_forge.parser import (
     parse_workflow,
     serialize_config,
 )
+from lineage_forge.provenance import parse_macro_file
+from lineage_forge.software import parse_targets
+from lineage_forge.verify import parse_manifest
 from oracles import reference_expand
 
 
@@ -388,6 +391,36 @@ class TestCarriageReturnsInFiles:
 
         self.project(tmp_path)
         assert Project.load(tmp_path).graph.rules["out.txt"].recipe == ("echo 1996 > out.txt",)
+
+
+LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLinesSplitAtLfAlone:
+    """`str.splitlines` also breaks at the characters in LINE_BREAKS; the
+    parsers break at LF alone, as the lineage cache does when it reads a
+    template's lines again."""
+
+    def test_recipe_line_keeps_its_form_feed(self):
+        [rule] = parse_workflow("t:\n\tprintf 'a\fb' > $@\n", "x.wf").rules
+        assert rule.recipe == ("printf 'a\fb' > $@",)
+
+    def test_config_value_keeps_a_line_separator(self):
+        [param] = parse_config("k = a\u2028b\n", "x.conf")
+        assert (param.value, param.origin.line) == ("a\u2028b", 1)
+
+    @pytest.mark.parametrize("parse, bad", [
+        (parse_workflow, "just some words"),
+        (parse_config, "no equals sign"),
+        (parse_manifest, "a\tb"),
+        (parse_targets, "a\tb"),
+        (parse_macro_file, "\\def\\x{1}"),
+    ], ids=["workflow", "config", "manifest", "targets", "macros"])
+    @pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(c):04X}" for c in LINE_BREAKS])
+    def test_error_line_counts_lf_only(self, parse, bad, brk):
+        with pytest.raises(DslSyntaxError) as info:
+            parse(f"{brk}\n{bad}\n", "x")
+        assert info.value.line == 2
 
 
 def write_include_chain(root: Path, n: int, close_cycle: bool = False) -> list[str]:

@@ -260,3 +260,22 @@ class TestCrlfConfigFiles:
         proc = run_cli(demo_project, "make", "--offline")
         assert proc.returncode == 1
         assert f"{LOCAL_CONFIG}:1: CR line ending" in proc.stderr
+
+
+class TestGitignore:
+    """`configure` appends what the user's .gitignore lacks and leaves
+    the rest of its bytes alone."""
+
+    @pytest.mark.parametrize("before, after", [
+        (b"*.o\r\nbuild/\r\n", b"*.o\r\nbuild/\r\n.local-config\r\n.build\r\n"),
+        (b"*.o\nbuild/", b"*.o\nbuild/\n.local-config\n.build\n"),
+        (b"*.o\r\n.build\r\n", b"*.o\r\n.build\r\n.local-config\r\n"),
+    ], ids=["crlf", "no final newline", "one entry present"])
+    def test_appends_in_the_files_own_line_ending(self, demo_project_unconfigured, tmp_path,
+                                                  before, after):
+        root = demo_project_unconfigured
+        (root / ".gitignore").write_bytes(before)
+        configure(root, tmp_path / "build", input_dir="data")
+        assert (root / ".gitignore").read_bytes() == after
+        configure(root, tmp_path / "build", input_dir="data")
+        assert (root / ".gitignore").read_bytes() == after
