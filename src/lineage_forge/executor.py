@@ -1,4 +1,5 @@
-"""Incremental recipe execution from one wait loop, in a scrubbed environment.
+"""Incremental recipe execution by one loop over one worker shell per job
+slot, in a scrubbed environment.
 
 Staleness follows classic rebuild semantics: in `timestamp` mode a target
 is stale when missing or older than any prerequisite; in `digest` mode
@@ -13,6 +14,8 @@ from __future__ import annotations
 import errno
 import heapq
 import os
+import selectors
+import shlex
 import subprocess
 import tempfile
 import time
@@ -96,28 +99,69 @@ class ExecutionReport:
         return [e.target for e in self.executed]
 
 
-def run_recipe(rule: Rule, env: EnvPolicy,
-               log: BinaryIO) -> Generator[subprocess.Popen, int, int]:
-    """Start a rule's recipe lines one by one, stopping at the first failure.
+def run_recipe(rule: Rule, log: str) -> Generator[bytes, int, int]:
+    """Yield a rule's recipe lines one by one as worker commands, stopping
+    at the first failure.
 
-    Each line goes through the policy's POSIX shell with `-e`, so a
-    multi-command line also aborts at its first failing command. Its
-    stdout and stderr go straight to `log`. The generator yields each
-    line's process and must be sent that line's exit status before it
-    starts the next; it returns the last status (0 for no lines).
+    Each command runs its line in a subshell of a worker shell (see
+    `Worker`) with `-e`, so a multi-command line also aborts at its first
+    failing command. `eval` keeps a syntax error inside the subshell, whose
+    stdin is /dev/null and whose stdout and stderr append to the log at
+    path `log`. The subshell's status is never tested inside the command,
+    since dash ignores `-e` in a subshell whose status is. The generator
+    must be sent each line's exit status before it yields the next; it
+    returns the last status (0 for no lines).
     """
-    environment = env.environment()
+    redirect = f" </dev/null >>{shlex.quote(log)} 2>&1; echo $?\n"
     status = 0
     for line in rule.recipe:
-        try:
-            proc = subprocess.Popen([env.shell, "-e", "-c", line], cwd=env.workdir,
-                                    env=environment, stdout=log, stderr=subprocess.STDOUT)
-        except FileNotFoundError:
-            raise ShellNotFound(env.shell) from None
-        status = yield proc
+        command = os.fsencode(f"( set -e; eval {shlex.quote(line)} ){redirect}")
+        if b"\0" in command:  # a shell would drop it; `sh -c <line>` refused it
+            raise ValueError("embedded null byte")
+        status = yield command
         if status != 0:
             break
     return status
+
+
+class Worker:
+    """One job slot's long-lived shell, started from the policy's
+    environment and working directory in `make`'s process group. It reads
+    the commands `run_recipe` yields from its stdin and answers each with
+    its status line on its stdout."""
+
+    def __init__(self, env: EnvPolicy) -> None:
+        try:
+            self.proc = subprocess.Popen([env.shell], stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, cwd=env.workdir,
+                                         env=env.environment())
+        except FileNotFoundError:
+            raise ShellNotFound(env.shell) from None
+
+    def send(self, command: bytes) -> None:
+        try:
+            self.proc.stdin.write(command)
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the worker is dead; `status` reads the EOF and says how
+
+    def status(self) -> int:
+        """The status of the command sent, read once the worker's stdout is
+        readable.
+        If the worker died instead, it is waited for, and its exit status
+        (-15 for SIGTERM) is the command's."""
+        line = self.proc.stdout.readline()
+        return int(line) if line else self.close()
+
+    def close(self) -> int:
+        """End the worker once its current command is done and wait for it."""
+        try:
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            pass  # a `send` to the dead worker left bytes unflushed
+        status = self.proc.wait()
+        self.proc.stdout.close()
+        return status
 
 
 # Errors for which `Path.exists()` reports a path as absent.
@@ -213,10 +257,10 @@ def stale_set(
 
 
 def _open_log(build_dir: Path | None, target: str) -> BinaryIO:
-    """The target's log, `<build>/logs/<target>.log`, or an anonymous
-    temporary file when there is no build directory."""
+    """The target's log, `<build>/logs/<target>.log`, or a temporary file
+    deleted on close when there is no build directory."""
     if build_dir is None:
-        return tempfile.TemporaryFile()
+        return tempfile.NamedTemporaryFile()
     path = build_dir / "logs" / (target.removeprefix(".build/") + ".log")
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w+b")
@@ -246,15 +290,18 @@ def execute(
 ) -> ExecutionReport:
     """Bring the goal up to date, running at most `jobs` recipes at once.
 
-    A recipe starts only once all its prerequisites are fresh. On the
-    first failure no new work is scheduled; running recipes drain. Each
-    recipe writes `<build>/logs/<target>.log` as it runs, and the build
-    state records content digests for the digest staleness mode.
+    A recipe starts only once all its prerequisites are fresh. Each
+    running recipe's lines go to one of at most `jobs` worker shells,
+    each started the first time a slot needs it. On the first failure no
+    new work is scheduled; running recipes drain. Each recipe writes
+    `<build>/logs/<target>.log` as it runs, and the build state records
+    content digests for the digest staleness mode.
     """
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     prefix = os.path.join(root, "")
-    build_path = Path(build_dir) if build_dir else None
+    # Absolute, since a worker's working directory is the policy's.
+    build_path = Path(build_dir).absolute() if build_dir else None
 
     closure = ancestors(graph, goal)
     stale = stale_set(graph, goal, state, mode, root, closure=closure, cache=cache)
@@ -279,44 +326,55 @@ def execute(
     heapq.heapify(ready)  # smallest ready target is started first
     failure: FailedTarget | None = None
     failure_exc: Exception | None = None
-    # pid -> (target, steps, log, started, process) for each running line;
-    # `done` holds targets whose recipe ended, in the order they ended.
-    # A target holds its slot until the loop has settled it.
-    running: dict[int, tuple[str, Generator, BinaryIO, float, subprocess.Popen]] = {}
+    # worker -> (target, steps, log, started) for each running line, whose
+    # worker's stdout is registered with `selector`; `done` holds targets
+    # whose recipe ended, in the order they ended. A target holds its
+    # slot until the loop has settled it, so at most `jobs` workers live.
+    running: dict[Worker, tuple[str, Generator, BinaryIO, float]] = {}
     done: deque[tuple[str, int, BinaryIO, float, float]] = deque()
+    workers: list[Worker] = []  # every live worker
+    idle: list[Worker] = []
+    selector = selectors.DefaultSelector()
 
     def advance(target: str, steps: Generator, log: BinaryIO, started: float,
                 status: int | None) -> None:
-        """Start the target's next line, or queue the target as done."""
+        """Send the target's next line to a worker, or queue the target as done."""
         try:
-            proc = steps.send(status)
+            command = steps.send(status)
+            if not idle:  # every live worker is busy
+                idle.append(Worker(env))
+                workers.append(idle[-1])
         except StopIteration as stop:
             done.append((target, stop.value, log, started, time.monotonic()))
         except BaseException:
             log.close()
             raise
         else:
-            running[proc.pid] = (target, steps, log, started, proc)
+            worker = idle.pop()
+            worker.send(command)
+            running[worker] = (target, steps, log, started)
+            selector.register(worker.proc.stdout, selectors.EVENT_READ, worker)
 
     def fill() -> None:
         while ready and len(running) + len(done) < jobs and failure is None:
             target = heapq.heappop(ready)
             log = _open_log(build_path, target)
-            advance(target, run_recipe(graph.rules[target], env, log), log,
+            advance(target, run_recipe(graph.rules[target], log.name), log,
                     time.monotonic(), None)
 
     try:
         fill()
         while running or done:
             if not done:
-                # `execute` starts no child but its recipes while it runs,
-                # so a pid it did not start is not its to handle: ignore it.
-                pid, wait_status = os.wait()
-                if pid in running:
-                    target, steps, log, started, proc = running.pop(pid)
-                    # Reaped here, so the Popen must never wait on the pid.
-                    proc.returncode = os.waitstatus_to_exitcode(wait_status)
-                    advance(target, steps, log, started, proc.returncode)
+                for key, _ in selector.select():
+                    worker = key.data
+                    selector.unregister(worker.proc.stdout)
+                    status = worker.status()
+                    if worker.proc.returncode is None:
+                        idle.append(worker)
+                    else:  # it died; a later line gets a new worker
+                        workers.remove(worker)
+                    advance(*running.pop(worker), status)
                 continue
             target, status, log, started, finished = done.popleft()
             with log:
@@ -349,9 +407,12 @@ def execute(
                 if on_event:
                     on_event({"event": "failed", "target": target, "status": status})
     finally:
-        # Whatever leaves the loop, no recipe outlives it.
-        for _, _, log, _, proc in running.values():
-            proc.wait()
+        # Whatever leaves the loop, no worker outlives it: each ends once
+        # its running line, if any, is done.
+        for worker in workers:
+            worker.close()
+        selector.close()
+        for _, _, log, _ in running.values():
             log.close()
         for _, _, log, _, _ in done:
             log.close()

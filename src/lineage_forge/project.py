@@ -257,8 +257,23 @@ def _split_goal(all_rules: list[Rule], entry: str) -> tuple[str, list[Rule]]:
 def _stages(entry: str, paths: list[str]) -> list[str]:
     """The stage names: the loaded workflow files other than the entry, in
     load order."""
-    suffix = Path(entry).suffix
-    return [Path(p).stem for p in paths if p != entry and Path(p).suffix == suffix]
+    suffix = _stem_and_suffix(entry)[1]
+    stages = []
+    for path in paths:
+        stem, ext = _stem_and_suffix(path)
+        if ext == suffix and path != entry:
+            stages.append(stem)
+    return stages
+
+
+def _stem_and_suffix(path: str) -> tuple[str, str]:
+    """`PurePath(path).stem` and `.suffix` for a normalized '/'-separated
+    path, without building a path object."""
+    name = path.rpartition("/")[2]
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        return name[:dot], name[dot:]
+    return name, ""
 
 
 def configure(

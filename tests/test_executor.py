@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import os
 import random
+import signal
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from lineage_forge.executor import (
     DIGEST,
     TIMESTAMP,
     EnvPolicy,
+    Worker,
     execute,
     run_recipe,
     stale_set,
@@ -56,19 +59,30 @@ def set_mtime(root: Path, name: str, ns: int) -> None:
     os.utime(root / name, ns=(ns, ns))
 
 
-def run_lines(rule: Rule, env: EnvPolicy) -> tuple[int, str]:
-    """Drive `run_recipe` to its end, waiting for each line in turn;
-    returns the last status and everything the lines wrote."""
-    with tempfile.TemporaryFile() as log:
-        steps = run_recipe(rule, env, log)
+def drive(rule: Rule, worker: Worker) -> tuple[int, bytes]:
+    """Drive `run_recipe` to its end in `worker`, waiting for each line in
+    turn; returns the last status and everything the lines wrote."""
+    with tempfile.NamedTemporaryFile() as log:
+        steps = run_recipe(rule, log.name)
         status = None
         try:
             while True:
-                status = steps.send(status).wait()
+                worker.send(steps.send(status))
+                status = worker.status()
         except StopIteration as stop:
             status = stop.value
         log.seek(0)
-        return status, log.read().decode()
+        return status, log.read()
+
+
+def run_lines(rule: Rule, env: EnvPolicy) -> tuple[int, str]:
+    """`drive` in a worker of its own, output decoded."""
+    worker = Worker(env)
+    try:
+        status, output = drive(rule, worker)
+    finally:
+        worker.close()
+    return status, output.decode()
 
 
 class TestRunRecipe:
@@ -564,23 +578,139 @@ class TestWaitLoop:
         assert exc.value.output_tail == "x" * 1997 + "\u00e9nd"
 
     def test_shell_not_found_mid_build_leaves_no_child(self, tmp_path):
-        # At jobs 2, "a" and "b" start; once "b" runs, "a" removes the shell
-        # and sleeps, "b" ends once the shell is gone, and starting "c"
-        # then fails while "a" still runs.
+        # At jobs 2 only "a" runs at first, in the one worker, and removes
+        # the shell. Once it is done, "x" takes that worker and "y" needs a
+        # second one, whose start fails while "x" still runs.
         shell = tmp_path / "sh"
         shell.symlink_to("/bin/sh")
         env = EnvPolicy(fixed={"PATH": os.environ["PATH"]}, workdir=str(tmp_path),
                         shell=str(shell))
         rules = [
-            R("a", recipe=("echo $$ > a.pid; n=0; while [ ! -e b.started ] && [ $n -lt 1000 ]; "
-                           "do sleep 0.01; n=$((n+1)); done; rm sh; sleep 1; touch a",)),
-            R("b", recipe=("touch b.started; n=0; while [ -e sh ] && [ $n -lt 1000 ]; "
-                           "do sleep 0.01; n=$((n+1)); done; touch b",)),
-            R("c", recipe=("touch c",)),
-            R("goal", ["a", "b", "c"]),
+            R("a", recipe=("echo $$ > a.pid; rm sh; touch a",)),
+            R("x", ["a"], recipe=("echo $$ > x.pid; sleep 0.3; touch x",)),
+            R("y", ["a"], recipe=("touch y",)),
+            R("goal", ["x", "y"]),
         ]
         with pytest.raises(ShellNotFound):
             execute(build_graph(rules), "goal", 2, env, BuildState(), root=tmp_path)
-        assert (tmp_path / "a").exists() and (tmp_path / "b").exists()
+        assert (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+        [pid] = {int((tmp_path / name).read_text()) for name in ("a.pid", "x.pid")}
         with pytest.raises(ProcessLookupError):  # reaped, not a zombie
-            os.kill(int((tmp_path / "a.pid").read_text()), 0)
+            os.kill(pid, 0)
+
+
+def reference(lines: tuple[str, ...], env: EnvPolicy) -> tuple[int, bytes]:
+    """What a fresh `sh -e -c` per line gives, the way recipes once ran:
+    the last status and everything the lines wrote."""
+    with tempfile.TemporaryFile() as log:
+        status = 0
+        for line in lines:
+            status = subprocess.run([env.shell, "-e", "-c", line], cwd=env.workdir,
+                                    env=env.environment(), stdin=subprocess.DEVNULL,
+                                    stdout=log, stderr=subprocess.STDOUT).returncode
+            if status != 0:
+                break
+        log.seek(0)
+        return status, log.read()
+
+
+# Shell state a line could leak to the next: working directory, umask,
+# a variable and an exported one.
+DISTURB = "cd /; umask 077; X=1; export Y=2; "
+PROBE = R("probe", recipe=('echo "$(pwd) $(umask) ${X-unset} ${Y-unset}"',))
+
+
+class TestWorkerSemantics:
+    @pytest.mark.parametrize("lines", [
+        ("exit 3",),
+        ("exec true",),
+        ("false; touch t",),
+        ("set +e; false; echo x",),
+        ("trap 'echo bye' EXIT",),
+        ("printf '\\377\\r\\nok\\n'",),
+        ("echo one", "echo two; false", "echo three"),
+    ])
+    def test_line_matches_a_fresh_shell(self, tmp_path, lines):
+        env = policy(tmp_path)
+        lines = (DISTURB + lines[0],) + lines[1:]
+        expected = reference(lines, env)
+        worker = Worker(env)
+        try:
+            assert drive(R("t", recipe=lines), worker) == expected
+            # The next line in the same worker sees none of it.
+            assert drive(PROBE, worker) == reference(PROBE.recipe, env)
+        finally:
+            worker.close()
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("line", ["if", "echo 'unbalanced", ")", "( exit 4"])
+    def test_syntax_error_stays_in_its_line(self, tmp_path, line):
+        env = policy(tmp_path)
+        worker = Worker(env)
+        try:
+            status, _ = drive(R("t", recipe=(line,)), worker)
+            assert status == 2  # the message's shape differs, gaining "eval: "
+            assert drive(PROBE, worker) == reference(PROBE.recipe, env)
+        finally:
+            worker.close()
+
+    def test_stdin_is_empty(self, tmp_path):
+        rule = R("t", recipe=("timeout 10 cat; echo read-all", "touch t"))
+        assert run_lines(rule, policy(tmp_path)) == (0, "read-all\n")
+
+    def test_worker_killed_while_idle_fails_its_next_line(self, tmp_path):
+        worker = Worker(policy(tmp_path))
+        try:
+            os.kill(worker.proc.pid, signal.SIGTERM)
+            assert drive(R("t", recipe=("touch t",)), worker) == (-15, b"")
+        finally:
+            worker.close()
+        assert not (tmp_path / "t").exists()
+
+    def test_nul_byte_is_refused(self, tmp_path):
+        # A shell reading the line would drop the byte; the line is refused,
+        # as starting `sh -c <line>` refused it.
+        rules = [R("n", recipe=("touch n; echo a\0b",))]
+        with pytest.raises(ValueError):
+            execute(build_graph(rules), "n", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        assert not (tmp_path / "n").exists()
+
+    def test_killing_the_worker_fails_the_target(self, tmp_path):
+        rules = [R("k", recipe=("test -e once || { touch once; kill -TERM $$; }",
+                                "touch k"))]
+        graph = build_graph(rules)
+        state = BuildState()
+        with pytest.raises(RecipeFailed) as exc:
+            execute(graph, "k", 1, policy(tmp_path), state, root=tmp_path)
+        assert exc.value.status == -15
+        report = execute(graph, "k", 1, policy(tmp_path), state, root=tmp_path)
+        assert report.executed_targets() == ["k"]
+
+
+class TestSpawnCount:
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        calls = []
+        real = subprocess.Popen
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module.subprocess, "Popen", spy)
+        return calls
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_at_most_one_shell_per_slot(self, tmp_path, spawned, jobs):
+        write(tmp_path, "src")
+        rules = [R(f"t{i:02d}", ["src"], recipe=(f"echo {i} > t{i:02d}", "true"))
+                 for i in range(29)]
+        rules.append(R("goal", [r.target for r in rules]))
+        graph = build_graph(rules)
+        state = BuildState()
+        report = execute(graph, "goal", jobs, policy(tmp_path), state, root=tmp_path)
+        assert len(report.executed) == 30
+        assert 1 <= len(spawned) <= jobs
+        spawned.clear()
+        report = execute(graph, "goal", jobs, policy(tmp_path), state, root=tmp_path)
+        assert report.executed == [] and spawned == []

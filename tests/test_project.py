@@ -3,7 +3,7 @@ from __future__ import annotations
 import grp
 import os
 import stat
-from pathlib import Path
+from pathlib import Path, PurePath
 
 import pytest
 
@@ -24,6 +24,7 @@ from lineage_forge.project import (
     configure,
     run_make,
     run_record,
+    _stages,
 )
 from lineage_forge.software import TARGETS_RELPATH
 from lineage_forge.verify import parse_manifest
@@ -45,6 +46,15 @@ class TestProjectLoad:
             ("demo-plot", "tex/demo-plot.tex"),
             ("verify", "tex/verify.tex"),
         ]
+
+    def test_stages_follow_purepath_suffix_and_stem(self):
+        names = ["top.wf", ".wf", "a.b.wf", "a.", "a..wf", "..wf", "...", "a", "a.wf.",
+                 "x.conf", "d.wf/x", "d.wf/x.wf", "d/.wf", "d/a.b.wf", "d.x/y.z"]
+        for entry in ["top.wf", "make/top.wf", ".wf", "top", "a."]:
+            suffix = PurePath(entry).suffix
+            expected = [PurePath(n).stem for n in names
+                        if n != entry and PurePath(n).suffix == suffix]
+            assert _stages(entry, names) == expected
 
     def test_input_specs_parsed(self, demo_project):
         project = Project.load(demo_project)
