@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 from .errors import (
     AbsolutePathRejected,
@@ -39,24 +39,97 @@ class Origin:
         return f"{self.path}:{self.line}"
 
 
-@dataclass(frozen=True)
 class Rule:
     """One lineage step: build `target` from `prerequisites` via `recipe`.
 
     Recipe lines are stored fully expanded. An empty recipe is a grouping
     rule; empty prerequisites with a recipe is a pure generator.
+
+    Immutable, and equal, hashed and shown by its four fields, as a frozen
+    dataclass is. A rule from the lineage cache (`cached_rules`) keeps its
+    recipe as the record's text, a newline before each line, and its
+    origin as (path, line); `recipe` and `origin` build the tuple and the
+    Origin on first access and keep them, so a rule that never runs
+    decodes neither.
     """
 
-    target: str
-    prerequisites: tuple[str, ...]
-    recipe: tuple[str, ...]
-    origin: Origin
+    __slots__ = ("target", "prerequisites", "_recipe", "_origin")
 
-    def __post_init__(self) -> None:
-        if not self.target:
+    def __init__(self, target: str, prerequisites: tuple[str, ...],
+                 recipe: tuple[str, ...], origin: Origin) -> None:
+        if not target:
             raise ValueError("rule target must be non-empty")
-        if self.origin.line < 1:
+        if origin.line < 1:
             raise ValueError("origin line must be >= 1")
+        _set_target(self, target)
+        _set_prerequisites(self, prerequisites)
+        _set_recipe(self, recipe)
+        _set_origin(self, origin)
+
+    @property
+    def recipe(self) -> tuple[str, ...]:
+        recipe = self._recipe
+        if type(recipe) is str:
+            recipe = tuple(recipe.split("\n")[1:])
+            _set_recipe(self, recipe)
+        return recipe
+
+    @property
+    def origin(self) -> Origin:
+        origin = self._origin
+        if type(origin) is tuple:
+            origin = Origin(*origin)
+            _set_origin(self, origin)
+        return origin
+
+    def _fields(self) -> tuple:
+        return (self.target, self.prerequisites, self.recipe, self.origin)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"Rule(target={self.target!r}, prerequisites={self.prerequisites!r}, "
+                f"recipe={self.recipe!r}, origin={self.origin!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_new = object.__new__
+_set_target, _set_prerequisites, _set_recipe, _set_origin = (
+    getattr(Rule, name).__set__ for name in Rule.__slots__)
+
+
+def cached_rules(targets: str, prerequisites: tuple[str, ...], recipes: list[str],
+                 path: str, line: int) -> list[Rule]:
+    """The rules of one lineage-cache template: one per space-separated
+    target, each with its recipe text, a newline before every line.
+    Raises unless `line` is at least 1 and there are as many targets as
+    recipes, at least one; the caller has checked that every recipe is a
+    string, so nothing is left to fail when a rule's fields are read."""
+    if line < 1:
+        raise ValueError("origin line must be >= 1")
+    where = (path, line)
+    rules = []
+    for target, recipe in zip(str.split(targets), recipes, strict=True):
+        rule = _new(Rule)
+        _set_target(rule, target)
+        _set_prerequisites(rule, prerequisites)
+        _set_recipe(rule, recipe or ())  # an empty one needs no decoding
+        _set_origin(rule, where)
+        rules.append(rule)
+    if not rules:
+        raise ValueError("template without rules")
+    return rules
 
 
 def normalize_path(path: str, origin: Origin | str = "?") -> str:

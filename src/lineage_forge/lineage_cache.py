@@ -18,7 +18,9 @@ include tree (`flatten_statements`) the same way: it takes every trusted
 file's statements from its record, each run of its templates as one
 `CachedRun`, opens only the other files, and globs every include. A
 cached template keeps its rules unless it reads a name whose value
-changed; then only its own lines are read again. When no file was
+changed; then only its own lines are read again. A cached rule keeps
+its recipe text and origin as the record holds them, checked, and
+decodes them when first read (`cached_rules`). When no file was
 parsed, no template expanded and every include matched the paths its
 record holds, the load takes the graph from the header and writes
 nothing. Otherwise it builds the graph, and `save` encodes the records of
@@ -42,7 +44,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DslSyntaxError
-from .graph import BUILT, SOURCE, LineageGraph, Origin, Rule
+from .graph import BUILT, SOURCE, LineageGraph, Origin, Rule, cached_rules
 from .parser import (
     ConfigParam,
     IncludeDirective,
@@ -91,7 +93,9 @@ class _Record:
         CachedRun.
 
         The hot loop, with its type checks inline: `split` raises unless
-        called on a string, and `join` unless every item is one."""
+        called on a string, and `join` unless every item is one. Every
+        check is made here, so a rule whose recipe and origin are decoded
+        only when read (`cached_rules`) cannot fail then."""
         join, path, items = "".join, self.path, self.items
         out: list[object] = []
         start, rules = 0, []  # where the current run of templates starts; their rules
@@ -102,13 +106,7 @@ class _Record:
                 if type(reads) is not str:
                     raise ValueError("malformed template")
                 join(recipes)
-                origin = Origin(path, line)
-                prereqs = tuple(str.split(prereqs))
-                expanded = [Rule(target, prereqs, tuple(recipe.split("\n")[1:]), origin)
-                            for target, recipe in zip(str.split(targets), recipes, strict=True)]
-                if not expanded:
-                    raise ValueError("template without rules")
-                rules.append(expanded)
+                rules.append(cached_rules(targets, tuple(str.split(prereqs)), recipes, path, line))
                 continue
             if rules:
                 out.append(CachedRun(path, items[start:start + len(rules)], rules))

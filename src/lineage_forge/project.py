@@ -55,7 +55,14 @@ from .provenance import (
     machine_info,
 )
 from .software import TARGETS_RELPATH, parse_targets, verify_tarballs, version_macros
-from .state import DIGESTS_RELPATH, STATE_RELPATH, BuildState, DigestCache, staged
+from .state import (
+    DIGESTS_RELPATH,
+    STATE_RELPATH,
+    BuildState,
+    DigestCache,
+    staged,
+    write_changed,
+)
 from .verify import (
     Filter,
     VerificationEntry,
@@ -415,8 +422,7 @@ def _emit_bibliography(root: Path, build_dir: Path, entries: list) -> Path | Non
     if not chunks:
         return None
     out = build_dir / BIBLIOGRAPHY_RELPATH
-    with staged(out) as tmp:
-        tmp.write_bytes(b"".join(chunks))
+    write_changed(out, b"".join(chunks))
     return out
 
 
@@ -551,8 +557,7 @@ def _aggregate_stage(
     ]
     text = aggregate_macros(macro_files, builtins)
     out = build_dir / AGGREGATE_RELPATH
-    with staged(out) as tmp:
-        tmp.write_text(text, encoding="utf-8")
+    write_changed(out, text.encode("utf-8"))
     if group_gid is not None:
         try:
             os.chown(out, -1, group_gid)

@@ -5,12 +5,15 @@ last successful build, the target's content digest, and the
 semicolon-joined digests of its prerequisites as they were at build time
 (in rule order). Digests are lowercase hex SHA-256; digest-mode
 staleness compares against them. A prerequisite that was missing when
-the target was recorded is written as an empty digest, and `load` drops
+the target was recorded is written as an empty digest, and parsing drops
 empty digests, so the record holds fewer digests than the rule has
 prerequisites and its target is always stale under `--hash` until it is
-rebuilt with every prerequisite present. A line that does not parse (a
-truncated write, a hand edit) is skipped with a warning; that can only
-make its target rebuild.
+rebuilt with every prerequisite present. `BuildState.load` only reads
+the file; its lines are parsed on the first use of a record, so a make
+that consults none (a timestamp-mode no-op) parses none. A line that
+does not parse (a truncated write, a hand edit) is skipped with a
+warning when the lines are parsed; that can only make its target
+rebuild.
 
 `digests.tsv` caches the digests of large files for one `make` to the
 next (see DigestCache); it may be deleted at any time. So may
@@ -18,7 +21,8 @@ next (see DigestCache); it may be deleted at any time. So may
 `lineage_cache.py`). Both caches trust a file by its StatKey under one
 racy rule (`trusted`): `digests.tsv` per large file, `lineage.json` per
 DSL file's record. Every file the engine owns is written by `staged`;
-`replace_file`, its form for the caches, logs a failed write instead.
+`replace_file`, its form for the caches, logs a failed write instead,
+and `write_changed` skips a write of the bytes the file holds already.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import hashlib
 import logging
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -94,6 +97,18 @@ def replace_file(path: Path, data: bytes) -> None:
         log.warning("%s: could not write the cache: %s", path, exc)
 
 
+def write_changed(path: Path, data: bytes) -> None:
+    """Replace `path` with `data` through `staged`, unless it holds those
+    bytes already: its mtime changes only with its content."""
+    try:
+        if path.read_bytes() == data:
+            return
+    except OSError:
+        pass
+    with staged(path) as tmp:
+        tmp.write_bytes(data)
+
+
 def file_digest(path: str | Path, algorithm: str = "sha256",
                 strip_prefix: bytes | None = None, *,
                 cache: DigestCache | None = None) -> str:
@@ -154,12 +169,25 @@ class TargetRecord(NamedTuple):
     prereq_digests: tuple[str, ...]
 
 
-@dataclass
 class BuildState:
-    records: dict[str, TargetRecord] = field(default_factory=dict)
-    # True when the file on disk differs from `records`; `save` skips
-    # the write otherwise.
-    changed: bool = field(default=False, init=False, compare=False)
+    """The records of `build-state.tsv`, by target.
+
+    `load` reads the file's bytes and keeps them; the first `get`, `put`,
+    `forget` or read of `records` parses them, so a make that consults no
+    record (a timestamp-mode no-op) parses none. A damaged line is
+    reported when it is parsed. `changed` is True when the file on disk
+    differs from `records`; `save` writes nothing otherwise."""
+
+    def __init__(self, records: dict[str, TargetRecord] | None = None):
+        self._records = {} if records is None else records
+        self._unparsed: tuple[Path, bytes] | None = None  # the file and its bytes
+        self.changed = False
+
+    @property
+    def records(self) -> dict[str, TargetRecord]:
+        if self._unparsed is not None:
+            self._parse(*self._unparsed)
+        return self._records
 
     def get(self, target: str) -> TargetRecord | None:
         return self.records.get(target)
@@ -174,12 +202,16 @@ class BuildState:
 
     @classmethod
     def load(cls, build_dir: str | Path) -> "BuildState":
-        path = Path(build_dir) / STATE_RELPATH
         state = cls()
-        if not path.is_file():
-            return state
-        records = state.records
-        for lineno, raw in enumerate(path.read_bytes().split(b"\n"), start=1):
+        path = Path(build_dir) / STATE_RELPATH
+        if path.is_file():
+            state._unparsed = (path, path.read_bytes())
+        return state
+
+    def _parse(self, path: Path, data: bytes) -> None:
+        self._unparsed = None
+        records = self._records
+        for lineno, raw in enumerate(data.split(b"\n"), start=1):
             if not raw.strip():
                 continue
             try:
@@ -190,8 +222,7 @@ class BuildState:
                 records[target] = TargetRecord(target, int(epoch), tdigest, tuple(digests))
             except ValueError:
                 log.warning("%s:%d: skipping malformed build-state record", path, lineno)
-                state.changed = True  # the next save drops the line
-        return state
+                self.changed = True  # the next save drops the line
 
     def save(self, build_dir: str | Path) -> None:
         if not self.changed:

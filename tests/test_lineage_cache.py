@@ -88,13 +88,21 @@ def generated(tmp_path_factory) -> Path:
 
 
 def outcome(root: Path, build_dir: Path | None = None):
-    """Everything a load returns, or the error it raises."""
+    """Everything a load returns, or the error it raises. Each rule is
+    hashed, shown and read field by field; which of the three reads it
+    first goes round the rules, so a rule whose recipe and origin the
+    cache decodes on first access is checked through each."""
     try:
         p = Project.load(root, build_dir=build_dir)
     except Exception as exc:  # compared by type and message
         return ("error", type(exc).__name__, str(exc))
+    first = [VIEWS[i % 3](r) for i, r in enumerate(p.rules)]
+    then = [tuple(view(r) for view in VIEWS) for r in p.rules]
     return (p.rules, list(p.graph.nodes.items()), p.graph.order, list(p.graph.rules.items()),
-            list(p.env.items()), p.stages, p.input_specs, p.goal)
+            list(p.env.items()), p.stages, p.input_specs, first, then, p.goal)
+
+
+VIEWS = (hash, repr, lambda r: (r.target, r.prerequisites, r.recipe, r.origin))
 
 
 def reused(root: Path, build: Path) -> bool:
@@ -763,3 +771,67 @@ class TestRecordNoLongerMatchesItsFile:
         os.utime(cache, ns=(written, written))
         (root / CONF_DIR / "a.conf").write_text("k0 = 5\nk1 = $(k0)x\n", encoding="utf-8")
         assert outcome(root, build) == outcome(root)
+
+
+# Each garble of one template's item that a rule read from the cache could
+# only show when its recipe or origin is first read, after the load.
+GARBLES = {
+    "recipe not a string": lambda item: item.__setitem__(4, 5),
+    "line 0": lambda item: item.__setitem__(0, 0),
+    "a target more than its recipes": lambda item: item.__setitem__(2, item[2] + " .build/x"),
+}
+
+
+class TestLazyRules:
+    """A cached rule decodes its recipe and origin on first access; every
+    check of its record is made at load."""
+
+    def test_fields_cannot_be_assigned(self, tiny):
+        root, build = tiny
+        wait_past(root, build.parent / "probe")
+        outcome(root, build)
+        assert reused(root, build)
+        for rule in (Project.load(root, build_dir=build).rules[0], Project.load(root).rules[0]):
+            for name in ("target", "prerequisites", "recipe", "origin"):
+                with pytest.raises(AttributeError):
+                    setattr(rule, name, getattr(rule, name))
+                with pytest.raises(AttributeError):
+                    delattr(rule, name)
+
+    @pytest.mark.parametrize("garble", sorted(GARBLES))
+    def test_garbled_template_costs_a_parse_of_its_file(self, tmp_path, garble):
+        root, build = tmp_path / "proj", tmp_path / "build"
+        create_demo_project(root)
+        init_repo(root)
+        project.configure(root, build, input_dir="data")
+        wait_past(root, tmp_path / "probe")
+        project.run_make(root, offline=True)
+        trusted = set(LineageCache.load(build, root, DEFAULT_ENTRY).records)
+        rel = f"{MAKE_DIR}/format.wf"
+        assert rel in trusted
+        cache = build / LINEAGE_RELPATH
+        header, *lines = cache.read_bytes().split(b"\n")
+        at = next(i for i, line in enumerate(lines) if json.loads(line)[0] == rel)
+        record = json.loads(lines[at])
+        GARBLES[garble](next(item for item in record[2] if type(item[0]) is int))
+        lines[at] = json.dumps(record).encode()
+        write_damaged(cache, b"\n".join([header, *lines]))
+
+        assert set(LineageCache.load(build, root, DEFAULT_ENTRY).records) == trusted - {rel}
+        # Its rules are parsed again, so each recipe that now runs is the
+        # file's own.
+        targets = {r.target for r in Project.load(root).rules if r.origin.path == rel}
+        for target in targets:
+            (root / target).unlink()
+        parsed = []
+        real = parser.parse_workflow
+
+        def spy(text, origin):
+            parsed.append(origin)
+            return real(text, origin)
+
+        with mock.patch.object(parser, "parse_workflow", spy), \
+                mock.patch.object(lineage_cache, "parse_workflow", spy):
+            report = project.run_make(root, offline=True).report
+        assert parsed == [rel]
+        assert targets <= set(report.executed_targets())

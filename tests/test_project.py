@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import grp
 import os
+import re
 import stat
 from pathlib import Path, PurePath
+from unittest import mock
 
 import pytest
 
+from lineage_forge import parser, state
 from lineage_forge.errors import (
     DslSyntaxError,
     LineageError,
@@ -15,8 +18,11 @@ from lineage_forge.errors import (
     UnknownGoal,
     VerificationFailed,
 )
+from lineage_forge.graph import Rule
 from lineage_forge.parser import VERIFY_MANIFEST
 from lineage_forge.project import (
+    AGGREGATE_RELPATH,
+    BIBLIOGRAPHY_RELPATH,
     LOCAL_CONFIG,
     LocalConfig,
     Project,
@@ -27,6 +33,7 @@ from lineage_forge.project import (
     _stages,
 )
 from lineage_forge.software import TARGETS_RELPATH
+from lineage_forge.state import BuildState
 from lineage_forge.verify import parse_manifest
 
 from conftest import init_repo, run_cli
@@ -165,6 +172,134 @@ class TestBibliography:
             run_make(demo_project)
             bib = (build / "tex" / "software.bib").read_bytes()
             assert bib == fragment.read_bytes()  # only one fragment in the demo
+
+
+def edit_demo_year(root: Path, year: int) -> None:
+    conf = root / "reproduce/analysis/config/demo-year.conf"
+    conf.write_text(re.sub(r"(?m)^demo-year = .*$", f"demo-year = {year}", conf.read_text()),
+                    encoding="utf-8")
+
+
+class TestAggregateWrittenOnChange:
+    """`tex/project.tex` and `tex/software.bib` are replaced only when their
+    bytes change, so their inode and mtime change only with their content."""
+
+    @staticmethod
+    def make(root: Path) -> tuple[list[dict], set[str]]:
+        """A make's events, and which of the two files it replaced."""
+        events, replaced = [], set()
+        real = state.staged
+
+        def spy(path):
+            replaced.add(Path(path).name)
+            return real(path)
+
+        with mock.patch.object(state, "staged", spy):
+            run_make(root, on_event=events.append)
+        return events, replaced & {"project.tex", "software.bib"}
+
+    @staticmethod
+    def stamps(root: Path) -> list[tuple[int, int, int]]:
+        build = Path(os.readlink(root / ".build"))
+        stats = [(build / rel).stat() for rel in (AGGREGATE_RELPATH, BIBLIOGRAPHY_RELPATH)]
+        return [(st.st_ino, st.st_mtime_ns, st.st_ctime_ns) for st in stats]
+
+    def test_noop_makes_leave_both_files(self, demo_project):
+        assert self.make(demo_project)[1] == {"project.tex", "software.bib"}
+        before = self.stamps(demo_project)
+        for _ in range(2):
+            events, replaced = self.make(demo_project)
+            assert replaced == set()
+            assert [e["event"] for e in events].count("aggregate") == 1
+        assert self.stamps(demo_project) == before
+
+    def test_conf_edit_rewrites_project_tex(self, demo_project):
+        run_make(demo_project)
+        build = Path(os.readlink(demo_project / ".build"))
+        old = (build / AGGREGATE_RELPATH).read_text()
+        edit_demo_year(demo_project, 1997)
+        assert self.make(demo_project)[1] == {"project.tex"}
+        assert (build / AGGREGATE_RELPATH).read_text() != old
+
+    def test_dirty_flip_rewrites_project_tex(self, demo_project):
+        run_make(demo_project)
+        build = Path(os.readlink(demo_project / ".build"))
+        readme = demo_project / "README.md"
+        text = readme.read_text()
+        for content, dirty in [(text + "edited\n", True), (text, False)]:
+            readme.write_text(content, encoding="utf-8")
+            assert self.make(demo_project)[1] == {"project.tex"}
+            assert ("-dirty}" in (build / AGGREGATE_RELPATH).read_text()) == dirty
+
+    def test_group_mode_applied_when_the_write_is_skipped(self, tmp_path):
+        from lineage_forge.demo import create_demo_project
+
+        root = tmp_path / "proj"
+        create_demo_project(root)
+        init_repo(root)
+        configure(root, tmp_path / "build", input_dir="data",
+                  group=grp.getgrgid(os.getgid()).gr_name)
+        run_make(root)
+        out = tmp_path / "build" / AGGREGATE_RELPATH
+        out.chmod(0o600)
+        assert self.make(root)[1] == set()
+        assert out.stat().st_mode & 0o060 == 0o060
+
+
+class LazySpy:
+    """Counts, with no timing, each recipe a cached rule decodes on first
+    access (by target) and each parse of `build-state.tsv`."""
+
+    def __init__(self):
+        self.decoded: list[str] = []
+        self.parses = 0
+        self.workflows = 0
+
+    def __enter__(self):
+        real_recipe, real_parse, real_workflow = Rule.recipe, BuildState._parse, \
+            parser.parse_workflow
+
+        def recipe(rule):
+            if type(rule._recipe) is str:  # not yet decoded
+                self.decoded.append(rule.target)
+            return real_recipe.fget(rule)
+
+        def parse(state, *args):
+            self.parses += 1
+            return real_parse(state, *args)
+
+        def workflow(*args):
+            self.workflows += 1
+            return real_workflow(*args)
+
+        self.patches = [mock.patch.object(Rule, "recipe", property(recipe)),
+                        mock.patch.object(BuildState, "_parse", parse),
+                        mock.patch.object(parser, "parse_workflow", workflow)]
+        for patch in self.patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self.patches:
+            patch.stop()
+
+
+class TestNoOpStaysLazy:
+    def test_noop_decodes_no_recipe_and_parses_no_record(self, demo_project):
+        run_make(demo_project)
+        with LazySpy() as spy:
+            assert run_make(demo_project).report.executed == []
+            assert (spy.workflows, spy.decoded, spy.parses) == (0, [], 0)
+            assert run_make(demo_project, mode="digest").report.executed == []
+            assert (spy.workflows, spy.decoded, spy.parses) == (0, [], 1)
+
+    def test_edit_decodes_exactly_the_stale_recipes(self, demo_project):
+        run_make(demo_project)
+        edit_demo_year(demo_project, 1997)
+        with LazySpy() as spy:
+            stale = run_make(demo_project).report.executed_targets()
+        assert len(stale) == 3
+        assert sorted(spy.decoded) == sorted(stale)
 
 
 class TestUpstreamMacro:
