@@ -557,13 +557,21 @@ def _aggregate_stage(
     ]
     text = aggregate_macros(macro_files, builtins)
     out = build_dir / AGGREGATE_RELPATH
-    write_changed(out, text.encode("utf-8"))
+    wrote = write_changed(out, text.encode("utf-8"))
     if group_gid is not None:
         try:
             os.chown(out, -1, group_gid)
         except (PermissionError, OSError):
             pass
-        os.chmod(out, out.stat().st_mode | 0o060)
+        mode = out.stat().st_mode
+        if mode & 0o060 != 0o060:
+            try:
+                os.chmod(out, mode | 0o060)
+            except PermissionError:
+                # An unchanged file another group member wrote: only its
+                # owner may change its mode.
+                if wrote:
+                    raise
     if on_event:
         on_event({"event": "aggregate", "path": str(out)})
     return out

@@ -97,16 +97,18 @@ def replace_file(path: Path, data: bytes) -> None:
         log.warning("%s: could not write the cache: %s", path, exc)
 
 
-def write_changed(path: Path, data: bytes) -> None:
+def write_changed(path: Path, data: bytes) -> bool:
     """Replace `path` with `data` through `staged`, unless it holds those
-    bytes already: its mtime changes only with its content."""
+    bytes already: its mtime changes only with its content. Returns
+    whether it wrote."""
     try:
         if path.read_bytes() == data:
-            return
+            return False
     except OSError:
         pass
     with staged(path) as tmp:
         tmp.write_bytes(data)
+    return True
 
 
 def file_digest(path: str | Path, algorithm: str = "sha256",
@@ -178,8 +180,8 @@ class BuildState:
     reported when it is parsed. `changed` is True when the file on disk
     differs from `records`; `save` writes nothing otherwise."""
 
-    def __init__(self, records: dict[str, TargetRecord] | None = None):
-        self._records = {} if records is None else records
+    def __init__(self):
+        self._records: dict[str, TargetRecord] = {}
         self._unparsed: tuple[Path, bytes] | None = None  # the file and its bytes
         self.changed = False
 
@@ -209,8 +211,10 @@ class BuildState:
         return state
 
     def _parse(self, path: Path, data: bytes) -> None:
-        self._unparsed = None
-        records = self._records
+        # Nothing is kept until the last line is parsed: an interrupted
+        # parse leaves the bytes unparsed, and `save` then writes nothing.
+        records: dict[str, TargetRecord] = {}
+        dropped = False
         for lineno, raw in enumerate(data.split(b"\n"), start=1):
             if not raw.strip():
                 continue
@@ -222,7 +226,10 @@ class BuildState:
                 records[target] = TargetRecord(target, int(epoch), tdigest, tuple(digests))
             except ValueError:
                 log.warning("%s:%d: skipping malformed build-state record", path, lineno)
-                self.changed = True  # the next save drops the line
+                dropped = True
+        self._records, self._unparsed = records, None
+        if dropped:
+            self.changed = True  # the next save drops the line
 
     def save(self, build_dir: str | Path) -> None:
         if not self.changed:

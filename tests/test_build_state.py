@@ -101,3 +101,36 @@ class TestRoundTrip:
             target: TargetRecord(target, epoch, tdigest, tuple(d for d in digests if d))
             for target, (epoch, tdigest, digests) in records.items() if target != skipped
         }
+
+    def test_interrupted_parse_keeps_the_file_whole(self, tmp_path, monkeypatch):
+        import lineage_forge.state as state_mod
+
+        state = BuildState()
+        for n in range(3):
+            state.put(TargetRecord(f"t{n}", n, "ab" * 32, ()))
+        state.save(tmp_path)
+        path = tmp_path / STATE_RELPATH
+        lines = path.read_bytes().split(b"\n")[:-1]
+        lines[0] = damaged(lines[0], "bad-epoch")  # sets `changed` as it is parsed
+        data = b"".join(line + b"\n" for line in lines)
+        path.write_bytes(data)
+        loaded = BuildState.load(tmp_path)
+
+        calls = []
+
+        def interrupted(*fields):
+            calls.append(fields)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return TargetRecord(*fields)
+
+        monkeypatch.setattr(state_mod, "TargetRecord", interrupted)
+        try:
+            loaded.get("t1")
+        except KeyboardInterrupt:
+            pass
+        monkeypatch.undo()
+        assert not loaded.changed
+        loaded.save(tmp_path)  # as `run_make`'s `finally` does
+        assert path.read_bytes() == data
+        assert sorted(logged(lambda: loaded.records)[0]) == ["t1", "t2"]

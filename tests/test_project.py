@@ -245,6 +245,32 @@ class TestAggregateWrittenOnChange:
         assert self.make(root)[1] == set()
         assert out.stat().st_mode & 0o060 == 0o060
 
+    def test_unchanged_file_of_another_group_member_is_left_as_it_is(self, tmp_path):
+        """In a shared build directory the unchanged `project.tex` may belong
+        to another member: only its owner may chmod it, and a no-op make
+        must not fail on that."""
+        from lineage_forge.demo import create_demo_project
+
+        root = tmp_path / "proj"
+        create_demo_project(root)
+        init_repo(root)
+        configure(root, tmp_path / "build", input_dir="data",
+                  group=grp.getgrgid(os.getgid()).gr_name)
+        run_make(root)
+        out = tmp_path / "build" / AGGREGATE_RELPATH
+        real_chmod = os.chmod
+
+        def not_the_owner(path, *args, **kwargs):
+            if Path(path) == out:
+                raise PermissionError(1, "Operation not permitted", str(path))
+            return real_chmod(path, *args, **kwargs)
+
+        for mode in (0o660, 0o600):  # group rw already, or not
+            out.chmod(mode)
+            with mock.patch("os.chmod", not_the_owner):
+                assert self.make(root)[1] == set()
+            assert stat.S_IMODE(out.stat().st_mode) == mode
+
 
 class LazySpy:
     """Counts, with no timing, each recipe a cached rule decodes on first
