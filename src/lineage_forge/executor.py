@@ -32,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .graph import BUILT, SOURCE, LineageGraph, Rule, ancestors
-from .state import BuildState, DigestCache, TargetRecord, file_digest
+from .state import BuildState, TargetRecord, file_digest
 
 TIMESTAMP = "timestamp"
 DIGEST = "digest"
@@ -180,10 +180,10 @@ def _mtime(path: str) -> int | None:
         return None
 
 
-def _digest_or_empty(path: str, cache: DigestCache | None) -> str:
+def _digest_or_empty(path: str, state: BuildState) -> str:
     """The file's digest, or "" where `Path.exists()` is False."""
     try:
-        return file_digest(path, cache=cache)
+        return file_digest(path, cache=state)
     except OSError as exc:
         if exc.errno in _ABSENT_ERRNOS:
             return ""
@@ -200,14 +200,13 @@ def stale_set(
     root: str | Path = ".",
     *,
     closure: set[str] | None = None,
-    cache: DigestCache | None = None,
 ) -> set[str]:
     """Built nodes in the goal's closure that need rebuilding.
 
     Each node of the closure is stat'd once. Raises MissingSource for any
     source file in the closure that does not exist on disk. `closure` is
-    `ancestors(graph, goal)` when the caller has it already; `cache` is
-    passed to every `file_digest` call.
+    `ancestors(graph, goal)` when the caller has it already. `state`
+    serves every `file_digest` call as its cache.
     """
     # Graph paths are normalized and relative, so `prefix + node` names
     # the file `root / node` does, without building a Path per node.
@@ -229,7 +228,7 @@ def stale_set(
             return True
         for prereq, recorded in zip(rule.prerequisites, rec.prereq_digests):
             if prereq not in digests:
-                digests[prereq] = file_digest(prefix + prereq, cache=cache)
+                digests[prereq] = file_digest(prefix + prereq, cache=state)
             if digests[prereq] != recorded:
                 return True
         return False
@@ -286,7 +285,6 @@ def execute(
     build_dir: str | Path | None = None,
     on_event: Callable[[dict], None] | None = None,
     group_gid: int | None = None,
-    cache: DigestCache | None = None,
 ) -> ExecutionReport:
     """Bring the goal up to date, running at most `jobs` recipes at once.
 
@@ -304,7 +302,7 @@ def execute(
     build_path = Path(build_dir).absolute() if build_dir else None
 
     closure = ancestors(graph, goal)
-    stale = stale_set(graph, goal, state, mode, root, closure=closure, cache=cache)
+    stale = stale_set(graph, goal, state, mode, root, closure=closure)
     report = ExecutionReport(jobs=jobs)
     report.skipped_fresh = sorted(n for n in closure - stale if graph.nodes[n] == BUILT)
 
@@ -392,7 +390,7 @@ def execute(
                     report.executed.append(ExecutedTarget(target, 0, seconds, started, finished))
                     if group_gid is not None and os.path.exists(tpath):
                         _apply_group(tpath, group_gid)
-                    _record(state, rule, prefix, tpath, cache)
+                    _record(state, rule, prefix, tpath)
                     if on_event:
                         on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
                     continue
@@ -425,16 +423,15 @@ def execute(
     return report
 
 
-def _record(state: BuildState, rule: Rule, prefix: str, tpath: str,
-            cache: DigestCache | None) -> None:
+def _record(state: BuildState, rule: Rule, prefix: str, tpath: str) -> None:
     """Record the target's digest and its prerequisites', each "" for a
     path that is missing (see `state.py`)."""
     state.put(
         TargetRecord(
             target=rule.target,
             built_at=int(time.time()),
-            target_digest=_digest_or_empty(tpath, cache),
-            prereq_digests=tuple(_digest_or_empty(prefix + p, cache)
+            target_digest=_digest_or_empty(tpath, state),
+            prereq_digests=tuple(_digest_or_empty(prefix + p, state)
                                  for p in rule.prerequisites),
         )
     )

@@ -24,7 +24,7 @@ from .errors import (
     OfflineAndMissing,
 )
 from .parser import InputSpec
-from .state import DigestCache, file_digest, staged
+from .state import BuildState, file_digest, staged
 
 log = logging.getLogger("lineage_forge.fetch")
 
@@ -38,7 +38,7 @@ class Mismatch:
 
 
 def verify_checksum(path: str | Path, algorithm: str, expected_hex: str, *,
-                    cache: DigestCache | None = None) -> Mismatch | None:
+                    cache: BuildState | None = None) -> Mismatch | None:
     """Stream the file and compare digests case-insensitively.
 
     Returns None when the digest matches, otherwise a Mismatch carrying
@@ -146,8 +146,8 @@ class InputResolver:
     """Places verified inputs under `<build>/inputs/`.
 
     Search order per spec'd pin: already-imported build copy, then the
-    optional host input directory, then the network. `cache`, if given,
-    serves the digest of an already-imported copy.
+    optional host input directory, then the network. `cache`, the build
+    state if given, serves the digest of an already-imported copy.
     """
 
     def __init__(
@@ -158,7 +158,7 @@ class InputResolver:
         offline: bool = False,
         retries: int = DEFAULT_RETRIES,
         backoff_seconds: tuple[float, ...] = DEFAULT_BACKOFF,
-        cache: DigestCache | None = None,
+        cache: BuildState | None = None,
     ):
         self.inputs_dir = Path(build_dir) / "inputs"
         self.input_dir = Path(input_dir) if input_dir else None

@@ -6,14 +6,17 @@ that what a file yields is keyed by that file alone.
 
 The file is JSON lines: a header, then one line per DSL file in load
 order. The header holds the format number, the engine's `__version__`,
-the entry file, the variables and the topological order. A file's
-record holds its path, its StatKey and its items in source order: each
-assignment (key, value, line), each include directive (pattern, `?`
-flag, line) and each template (line, the names its texts read, the rules
-it expanded to), then each include pattern with the paths it matched.
+the entry file, the cache's write tick (`state.write_tick`), the
+variables and the topological order. A file's record holds its path,
+its StatKey and its items in source order: each assignment (key, value,
+line), each include directive (pattern, `?` flag, line) and each
+template (line, the names its texts read, the rules it expanded to),
+then each include pattern with the paths it matched.
 
 A record is trusted while its file's StatKey holds under
-`state.trusted`, against the cache file's mtime. Every load walks the
+`state.trusted`, against the write tick the header records, so a
+`touch` or a restore of the cache trusts nothing the racy rule refused.
+Every load walks the
 include tree (`flatten_statements`) the same way: it takes every trusted
 file's statements from its record, each run of its templates as one
 `CachedRun`, opens only the other files, and globs every include. A
@@ -27,18 +30,19 @@ nothing. Otherwise it builds the graph, and `save` encodes the records of
 the files that changed and writes every other record back as it was
 read.
 
-The file is written by `state.replace_file`. A missing or unreadable
-file, or a header of another format, version or entry, is treated as
-absent: it costs one full parse. A damaged or untrusted record costs a
-parse of its file alone. A well-formed hand edit is believed, as one to
-`digests.tsv` is. The file may be deleted at any time; `clean` deletes
-it.
+The file is written through `state.staged`; a write that fails is
+logged, not raised. A missing or unreadable file, or a header of another
+format, version or entry, is treated as absent: it costs one full parse.
+A damaged or untrusted record costs a parse of its file alone. A
+well-formed hand edit is believed, as one to the store's file table is.
+The file may be deleted at any time; `clean` deletes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -54,10 +58,12 @@ from .parser import (
     parse_workflow,
     references,
 )
-from .state import StatKey, replace_file, stat_key, trusted
+from .state import StatKey, staged, stat_key, trusted, write_tick
+
+log = logging.getLogger("lineage_forge.lineage_cache")
 
 LINEAGE_RELPATH = "state/lineage.json"
-FORMAT = 4
+FORMAT = 5
 
 
 def _texts(value: object) -> list[str]:
@@ -155,19 +161,18 @@ class LineageCache:
     def load(cls, build_dir: str | Path, root: Path, entry: str) -> "LineageCache":
         cache = cls(Path(build_dir) / LINEAGE_RELPATH)
         try:
-            with open(cache.path, "rb") as fh:
-                written_ns = os.fstat(fh.fileno()).st_mtime_ns
-                header, *lines = fh.read().decode("ascii").split("\n")
+            header, *lines = cache.path.read_bytes().decode("ascii").split("\n")
             doc = json.loads(header)
             if (doc["format"], doc["version"], doc["entry"]) == (FORMAT, __version__, entry):
-                cache._decode(doc, lines, root, written_ns)
+                cache._decode(doc, lines, root)
         except (OSError, ValueError, TypeError, KeyError, RecursionError):
             return cls(cache.path)
         return cache
 
-    def _decode(self, doc: dict, lines: list[str], root: Path, written_ns: int) -> None:
+    def _decode(self, doc: dict, lines: list[str], root: Path) -> None:
         """Check the header and keep every record whose file is trusted."""
-        if type(doc["env"]) is not dict:
+        tick = doc["tick"]
+        if type(doc["env"]) is not dict or type(tick) is not int:
             raise ValueError("malformed cache")
         "".join(doc["env"].values())  # a TypeError unless every value is a string
         self.env, self.order = doc["env"], _texts(doc["order"])
@@ -175,7 +180,7 @@ class LineageCache:
             try:
                 record = _Record(line)
                 current = stat_key(os.stat(os.path.join(root, record.path)))
-                if trusted(current, record.key, written_ns):
+                if trusted(current, record.key, tick):
                     record.decode()
                     self.records[record.path] = record
             except (OSError, ValueError, TypeError, KeyError, IndexError, RecursionError):
@@ -299,13 +304,7 @@ class LineageCache:
 
         compact = {"separators": (",", ":")}
         changed = {path for path, _line in fresh}
-        lines = [json.dumps({
-            "format": FORMAT,
-            "version": __version__,
-            "entry": entry,
-            "env": env,
-            "order": graph.order,
-        }, **compact)]
+        lines = []
         for f in files:
             record = self.records.get(f.path)
             if record is not None and f.path not in changed and f.globs == record.globs:
@@ -316,4 +315,16 @@ class LineageCache:
             # from a glob) is written as a `\u` escape and reads back the
             # same.
             lines.append(json.dumps([f.path, f.stat, items(f), globs], **compact))
-        replace_file(self.path, "\n".join(lines).encode("ascii"))
+        try:
+            with staged(self.path) as tmp:
+                header = json.dumps({
+                    "format": FORMAT,
+                    "version": __version__,
+                    "entry": entry,
+                    "tick": write_tick(tmp),
+                    "env": env,
+                    "order": graph.order,
+                }, **compact)
+                tmp.write_bytes("\n".join([header, *lines]).encode("ascii"))
+        except OSError as exc:  # a cache may be lost at any time
+            log.warning("%s: could not write the cache: %s", self.path, exc)

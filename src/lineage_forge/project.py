@@ -56,10 +56,8 @@ from .provenance import (
 )
 from .software import TARGETS_RELPATH, parse_targets, verify_tarballs, version_macros
 from .state import (
-    DIGESTS_RELPATH,
     STATE_RELPATH,
     BuildState,
-    DigestCache,
     staged,
     write_changed,
 )
@@ -440,15 +438,16 @@ def run_make(
     """The full pipeline: parse, resolve inputs, execute the DAG, verify
     all deliverables, then aggregate the narrative macros.
 
-    Every digest of a large file goes through one DigestCache, loaded
-    here and saved once all hashing is done."""
+    One BuildState, loaded here, holds the target records and serves
+    every digest of a large file. It is saved once, after execution and
+    verification, whether or not they succeed."""
     if jobs is not None and jobs < 1:
         raise UsageError("jobs must be >= 1")
     root = Path(root)
     config = LocalConfig.load(root)
     group_gid = _group_gid(config.group)
     build_dir = Path(config.build_dir)
-    cache = DigestCache.load(build_dir)
+    state = BuildState.load(build_dir)
     project = Project.load(root, build_dir=build_dir)
     project.macro_targets_declared()
 
@@ -468,7 +467,7 @@ def run_make(
             config.resolve_dir(root, config.input_dir),
             transport=transport,
             offline=offline,
-            cache=cache,
+            cache=state,
         )
         resolved = resolver.resolve_all(project.input_specs)
         if on_event:
@@ -477,8 +476,6 @@ def run_make(
 
     env_policy = EnvPolicy.hermetic(build_dir, config.tool_path, root)
     n_jobs = jobs if jobs is not None else config.jobs
-
-    state = BuildState.load(build_dir)
     try:
         report = execute(
             project.graph,
@@ -491,31 +488,25 @@ def run_make(
             build_dir=build_dir,
             on_event=on_event,
             group_gid=group_gid,
-            cache=cache,
         )
+        if on_event:
+            for target in report.skipped_fresh:
+                on_event({"event": "fresh", "target": target})
+        if partial:
+            return MakeResult(report, None, None, the_goal)
+
+        verification = _verify_stage(root, build_dir, on_event, state)
+        if verification is not None and not verification.ok and serial_verify and n_jobs > 1:
+            log.warning("verification failed after a parallel build; retrying serially")
+            _remove_built(project, the_goal, root, state)
+            report = execute(
+                project.graph, the_goal, 1, env_policy, state,
+                mode=mode, root=root, build_dir=build_dir,
+                on_event=on_event, group_gid=group_gid,
+            )
+            verification = _verify_stage(root, build_dir, on_event, state)
     finally:
         state.save(build_dir)
-    if on_event:
-        for target in report.skipped_fresh:
-            on_event({"event": "fresh", "target": target})
-
-    if partial:
-        cache.save()
-        return MakeResult(report, None, None, the_goal)
-
-    verification = _verify_stage(root, build_dir, on_event, cache)
-    if verification is not None and not verification.ok and serial_verify and n_jobs > 1:
-        log.warning("verification failed after a parallel build; retrying serially")
-        _remove_built(project, the_goal, root, state)
-        state.save(build_dir)
-        report = execute(
-            project.graph, the_goal, 1, env_policy, state,
-            mode=mode, root=root, build_dir=build_dir,
-            on_event=on_event, group_gid=group_gid, cache=cache,
-        )
-        state.save(build_dir)
-        verification = _verify_stage(root, build_dir, on_event, cache)
-    cache.save()
     if verification is not None and not verification.ok:
         raise VerificationFailed([r.path for r in verification.failing()])
 
@@ -524,7 +515,7 @@ def run_make(
 
 
 def _verify_stage(root: Path, build_dir: Path, on_event: EventCallback | None,
-                  cache: DigestCache | None = None) -> VerificationReport | None:
+                  cache: BuildState | None = None) -> VerificationReport | None:
     manifest = root / VERIFY_MANIFEST
     if not manifest.is_file():
         return None
@@ -632,8 +623,8 @@ def run_record(
 
 def clean(root: str | Path) -> list[str]:
     """Delete built targets and the engine's byproducts: the macro
-    aggregate, the bibliography, the build state, both caches and the
-    logs. Keep inputs."""
+    aggregate, the bibliography, the build state, the lineage cache and
+    the logs. Keep inputs."""
     root = Path(root)
     config = LocalConfig.load(root)
     build_dir = Path(config.build_dir)
@@ -651,7 +642,9 @@ def clean(root: str | Path) -> list[str]:
     if aggregate.exists():
         aggregate.unlink()
         removed.append(str(aggregate))
-    for byproduct in (BIBLIOGRAPHY_RELPATH, STATE_RELPATH, DIGESTS_RELPATH, LINEAGE_RELPATH):
+    # state/digests.tsv held the digests of large files before the build
+    # state did; a build directory may still hold it.
+    for byproduct in (BIBLIOGRAPHY_RELPATH, STATE_RELPATH, LINEAGE_RELPATH, "state/digests.tsv"):
         (build_dir / byproduct).unlink(missing_ok=True)
     logs = build_dir / "logs"
     if logs.is_dir():

@@ -15,6 +15,7 @@ import json
 import re
 import struct
 import subprocess
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,6 +26,7 @@ from .parser import split_lines
 
 MACRO_RE = re.compile(r"^\\newcommand\{\\([A-Za-z]+)\}\{(.*)\}$")
 MACRO_NAME_RE = re.compile(r"^[A-Za-z]+$")
+GIT_TIMEOUT = 30.0  # seconds a git command may run before it is killed
 
 
 @dataclass(frozen=True)
@@ -114,19 +116,31 @@ def aggregate_macros(
 
 
 def _git(project_root: str | Path, *args: str) -> str | None:
+    """The stripped output of `git -C project_root *args`; None when git
+    is missing, fails, or runs past GIT_TIMEOUT. The wait blocks, and a
+    timer kills a hung git: a wait with a timeout polls with sleeps."""
     try:
-        proc = subprocess.run(
+        proc = subprocess.Popen(
             ["git", "-C", str(project_root), *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
-            timeout=30,
         )
-    except (FileNotFoundError, subprocess.TimeoutExpired):
+    except FileNotFoundError:
         return None
+    timer = threading.Timer(GIT_TIMEOUT, proc.kill)
+    with proc:
+        timer.start()
+        try:
+            out = proc.communicate()[0]
+        except BaseException:
+            proc.kill()
+            raise
+        finally:
+            timer.cancel()
     if proc.returncode != 0:
         return None
-    return proc.stdout.strip()
+    return out.strip()
 
 
 def git_state(project_root: str | Path) -> GitState | None:

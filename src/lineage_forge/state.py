@@ -1,28 +1,30 @@
-"""Per-target build state and the digest cache, both under `<build>/state/`.
+"""The build state, `<build>/state/build-state.tsv`: the one state store.
 
-`build-state.tsv` has one line per target: path, epoch seconds of the
-last successful build, the target's content digest, and the
-semicolon-joined digests of its prerequisites as they were at build time
-(in rule order). Digests are lowercase hex SHA-256; digest-mode
-staleness compares against them. A prerequisite that was missing when
-the target was recorded is written as an empty digest, and parsing drops
-empty digests, so the record holds fewer digests than the rule has
-prerequisites and its target is always stale under `--hash` until it is
-rebuilt with every prerequisite present. `BuildState.load` only reads
-the file; its lines are parsed on the first use of a record, so a make
-that consults none (a timestamp-mode no-op) parses none. A line that
-does not parse (a truncated write, a hand edit) is skipped with a
-warning when the lines are parsed; that can only make its target
-rebuild.
+It holds, in this order:
 
-`digests.tsv` caches the digests of large files for one `make` to the
-next (see DigestCache); it may be deleted at any time. So may
-`lineage.json`, the parsed project, one record per DSL file (see
-`lineage_cache.py`). Both caches trust a file by its StatKey under one
-racy rule (`trusted`): `digests.tsv` per large file, `lineage.json` per
-DSL file's record. Every file the engine owns is written by `staged`;
-`replace_file`, its form for the caches, logs a failed write instead,
-and `write_changed` skips a write of the bytes the file holds already.
+- the target records, one line each: path, epoch seconds of the last
+  successful build, the target's content digest, and the
+  semicolon-joined digests of its prerequisites at build time (in rule
+  order), lowercase hex SHA-256, which digest-mode staleness compares
+  against. A prerequisite missing when its target was recorded gets an
+  empty digest, which parsing drops, so the target stays stale under
+  `--hash` until it is rebuilt with every prerequisite present;
+- an empty line, then the file table (see `BuildState.lookup`);
+- the format line, `lineage-forge build-state <format> tick <ns>`,
+  with the store's write tick (`write_tick`).
+
+`BuildState.load` reads the file and its format line; each table is
+parsed on its first use, so a timestamp-mode no-op parses nothing. A
+record that does not parse (a hand edit) is skipped with a warning, and
+can only make its target rebuild; a file entry that does not parse only
+costs a hash. A file with no format line, written before the file table
+existed or cut short, is read as records alone: an upgrade rebuilds
+nothing.
+
+The file table and `lineage.json` (see `lineage_cache.py`) trust a file
+by its StatKey under one racy rule, `trusted`, against the write tick
+each records. Every file the engine owns is written by `staged`, and
+`write_changed` skips a write of the bytes the file holds already.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ from typing import Iterable, Iterator, NamedTuple
 log = logging.getLogger("lineage_forge.state")
 
 STATE_RELPATH = "state/build-state.tsv"
-DIGESTS_RELPATH = "state/digests.tsv"
+FORMAT = 1
 CHUNK_SIZE = 1 << 16
 _HEX_RE = re.compile(r"[0-9a-f]+")
+_FORMAT_LINE = re.compile(rb"lineage-forge build-state (\d+) tick (\d+)\n?")
 
 # (st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns)
 StatKey = tuple[int, int, int, int, int]
@@ -52,15 +55,24 @@ def stat_key(st: os.stat_result) -> StatKey:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
-def trusted(current: StatKey, recorded: StatKey, written_ns: int) -> bool:
-    """Whether a file whose StatKey was `recorded` in a cache written at
-    `written_ns` (the cache file's mtime) is unchanged. The key must be
-    equal, and its mtime and ctime strictly older than the cache: a file
-    changed in the clock tick the cache was written in could change again
-    in that tick without changing its StatKey (git's racy-timestamp
-    rule). ctime counts too because `os.utime` can set mtime back, and
-    nothing can set ctime."""
-    return current == recorded and max(current[3:]) < written_ns
+def trusted(current: StatKey, recorded: StatKey, tick: int) -> bool:
+    """Whether a file whose StatKey was `recorded` in a cache that records
+    `tick` as its write tick is unchanged. The key must be equal, and its
+    mtime and ctime strictly older than the tick: a file changed in the
+    clock tick the cache was written in could change again in that tick
+    without changing its StatKey (git's racy-timestamp rule). ctime counts
+    too because `os.utime` can set mtime back, and nothing can set ctime.
+    The tick is the one the cache recorded, not its file's mtime, which a
+    `touch`, a restore or a hand edit moves."""
+    return current == recorded and max(current[3:]) < tick
+
+
+def write_tick(tmp: Path) -> int:
+    """Make `tmp`, the temp file of a `staged` write, and return its
+    mtime: the file system's clock before any byte of the new file is
+    written. A cache records it as its write tick (see `trusted`)."""
+    tmp.touch()
+    return tmp.stat().st_mtime_ns
 
 
 @contextlib.contextmanager
@@ -87,16 +99,6 @@ def staged(path: str | Path) -> Iterator[Path]:
         raise
 
 
-def replace_file(path: Path, data: bytes) -> None:
-    """Write a cache through `staged`; a cache may be lost at any time,
-    so a write that fails is logged, not raised."""
-    try:
-        with staged(path) as tmp:
-            tmp.write_bytes(data)
-    except OSError as exc:
-        log.warning("%s: could not write the cache: %s", path, exc)
-
-
 def write_changed(path: Path, data: bytes) -> bool:
     """Replace `path` with `data` through `staged`, unless it holds those
     bytes already: its mtime changes only with its content. Returns
@@ -113,15 +115,15 @@ def write_changed(path: Path, data: bytes) -> bool:
 
 def file_digest(path: str | Path, algorithm: str = "sha256",
                 strip_prefix: bytes | None = None, *,
-                cache: DigestCache | None = None) -> str:
+                cache: BuildState | None = None) -> str:
     """Streaming content digest, lowercase hex. With `strip_prefix` (one
     byte), every line starting with it is dropped, line end included,
     before hashing. Memory use is bounded by CHUNK_SIZE either way.
 
-    With `cache`, a file of at least CHUNK_SIZE bytes is looked up by the
-    stat key of the open file, and hashed and stored only on a miss.
-    Smaller files cost no more to read than to look up, so they are
-    always hashed."""
+    With `cache`, a file of at least CHUNK_SIZE bytes is looked up in its
+    file table by the stat key of the open file, and hashed and stored
+    only on a miss. Smaller files cost no more to read than to look up,
+    so they are always hashed."""
     with open(path, "rb") as fh:
         key = None
         if cache is not None:
@@ -129,7 +131,7 @@ def file_digest(path: str | Path, algorithm: str = "sha256",
             if st.st_size >= CHUNK_SIZE:
                 key = (os.path.abspath(path), algorithm, strip_prefix)
                 key_now = stat_key(st)
-                digest = cache.get(key, key_now)
+                digest = cache.lookup(key, key_now)
                 if digest is not None:
                     return digest
         h = hashlib.new(algorithm)
@@ -138,7 +140,7 @@ def file_digest(path: str | Path, algorithm: str = "sha256",
             h.update(chunk)
     digest = h.hexdigest()
     if key is not None:
-        cache.put(key, key_now, digest)
+        cache.remember(key, key_now, digest)
     return digest
 
 
@@ -172,17 +174,23 @@ class TargetRecord(NamedTuple):
 
 
 class BuildState:
-    """The records of `build-state.tsv`, by target.
+    """The store: the target records, by target, and the file table.
 
-    `load` reads the file's bytes and keeps them; the first `get`, `put`,
-    `forget` or read of `records` parses them, so a make that consults no
-    record (a timestamp-mode no-op) parses none. A damaged line is
-    reported when it is parsed. `changed` is True when the file on disk
-    differs from `records`; `save` writes nothing otherwise."""
+    `load` reads the file's bytes and its format line; the first `get`,
+    `put`, `forget` or read of `records` parses the records, and the
+    first `lookup` the file table. `changed` is True once a record or a
+    file entry is put or dropped, or a damaged line read; `save` writes
+    nothing unless it is, or this make used fewer entries than it read."""
 
     def __init__(self):
         self._records: dict[str, TargetRecord] = {}
-        self._unparsed: tuple[Path, bytes] | None = None  # the file and its bytes
+        self._files: dict[DigestKey, tuple[StatKey, str]] = {}  # as read
+        self._used: dict[DigestKey, tuple[StatKey, str]] = {}
+        self._tick = 0  # as recorded; 0 trusts no entry
+        # Until parsed: the file, its bytes and where its records end (-1:
+        # at the end); the file table's bytes.
+        self._unparsed: tuple[Path, bytes, int] | None = None
+        self._unparsed_files = b""
         self.changed = False
 
     @property
@@ -202,20 +210,47 @@ class BuildState:
         self.records.pop(target, None)
         self.changed = True
 
+    def lookup(self, key: DigestKey, stat: StatKey) -> str | None:
+        """The digest the file table holds for `key`, a large file, if
+        its StatKey is `stat` and `trusted` against the store's tick."""
+        if self._unparsed_files:
+            self._parse_files()
+        entry = self._files.get(key)
+        if entry is None or not trusted(stat, entry[0], self._tick):
+            return None
+        self._used[key] = entry
+        return entry[1]
+
+    def remember(self, key: DigestKey, stat: StatKey, digest: str) -> None:
+        if any(c in key[0] for c in "\t\n\r"):
+            return  # the line could not be read back
+        self._used[key] = (stat, digest)
+        self.changed = True
+
     @classmethod
     def load(cls, build_dir: str | Path) -> "BuildState":
         state = cls()
         path = Path(build_dir) / STATE_RELPATH
-        if path.is_file():
-            state._unparsed = (path, path.read_bytes())
+        if not path.is_file():
+            return state
+        data = path.read_bytes()
+        last = data.rfind(b"\n", 0, len(data) - 1) + 1  # where the format line starts
+        line = _FORMAT_LINE.fullmatch(data, last)
+        cut = -1
+        if line is not None and int(line[1]) == FORMAT:
+            # The file table runs from the last empty line to the format line.
+            cut = data.rfind(b"\n\n", 0, last) + 1 or (0 if data[:1] == b"\n" else -1)
+            if cut >= 0:
+                state._tick, state._unparsed_files = int(line[2]), data[cut + 1:last]
+        state._unparsed = (path, data, cut)
         return state
 
-    def _parse(self, path: Path, data: bytes) -> None:
+    def _parse(self, path: Path, data: bytes, cut: int) -> None:
         # Nothing is kept until the last line is parsed: an interrupted
         # parse leaves the bytes unparsed, and `save` then writes nothing.
         records: dict[str, TargetRecord] = {}
         dropped = False
-        for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        for lineno, raw in enumerate((data if cut < 0 else data[:cut]).split(b"\n"), start=1):
             if not raw.strip():
                 continue
             try:
@@ -225,100 +260,49 @@ class BuildState:
                     digests = [d for d in digests if d]
                 records[target] = TargetRecord(target, int(epoch), tdigest, tuple(digests))
             except ValueError:
+                # A file entry or format line out of place is no record.
+                if raw.count(b"\t") == 8 or _FORMAT_LINE.fullmatch(raw):
+                    continue
                 log.warning("%s:%d: skipping malformed build-state record", path, lineno)
                 dropped = True
         self._records, self._unparsed = records, None
         if dropped:
             self.changed = True  # the next save drops the line
 
-    def save(self, build_dir: str | Path) -> None:
-        if not self.changed:
-            return
-        lines = []
-        for target in sorted(self.records):
-            rec = self.records[target]
-            lines.append(
-                "\t".join(
-                    [
-                        rec.target,
-                        str(rec.built_at),
-                        rec.target_digest,
-                        ";".join(rec.prereq_digests),
-                    ]
-                )
-            )
-        with staged(Path(build_dir) / STATE_RELPATH) as tmp:
-            tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        self.changed = False
-
-
-class DigestCache:
-    """Digests of large files from one `make` to the next, persisted as
-    `<build>/state/digests.tsv`.
-
-    One line per entry: absolute path, algorithm, strip prefix (hex, `-`
-    for none), the five StatKey fields, digest. An entry is trusted only
-    while the file's StatKey passes `trusted` against the cache file's
-    mtime, as read at load. A line that does not parse, or a
-    cache that cannot be read, only makes files get re-hashed. A line
-    that parses is trusted as written. `save` writes the entries this
-    make used, and nothing if they are the ones it loaded.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._loaded: dict[DigestKey, tuple[StatKey, str]] = {}
-        self._written_ns = 0
-        self._used: dict[DigestKey, tuple[StatKey, str]] = {}
-        self._changed = False
-
-    @classmethod
-    def load(cls, build_dir: str | Path) -> "DigestCache":
-        cache = cls(Path(build_dir) / DIGESTS_RELPATH)
-        try:
-            with open(cache.path, "rb") as fh:
-                cache._written_ns = os.fstat(fh.fileno()).st_mtime_ns
-                data = fh.read()
-        except OSError:
-            return cache
-        for raw in data.split(b"\n"):
-            if not raw:
-                continue
+    def _parse_files(self) -> None:
+        """Per line: absolute path, algorithm, strip prefix (hex, `-` for
+        none), the five StatKey fields and the digest. A line that parses
+        is trusted as written."""
+        for raw in self._unparsed_files.split(b"\n")[:-1]:
             try:
                 path, algorithm, prefix, *stat_fields, digest = raw.split(b"\t")
-                stat_key = tuple(int(n) for n in stat_fields)
+                stat = tuple(int(n) for n in stat_fields)
                 algorithm = algorithm.decode("ascii")
                 digest = digest.decode("ascii")
-                if (len(stat_key) != 5 or not _HEX_RE.fullmatch(digest)
+                if (len(stat) != 5 or not _HEX_RE.fullmatch(digest)
                         or len(digest) != 2 * hashlib.new(algorithm).digest_size):
                     raise ValueError(raw)
                 key = (os.fsdecode(path), algorithm,
                        None if prefix == b"-" else bytes.fromhex(prefix.decode("ascii")))
             except ValueError:
-                cache._changed = True  # the next save drops the line
+                self.changed = True  # the next save drops the line
                 continue
-            cache._loaded[key] = (stat_key, digest)
-        return cache
+            self._files[key] = (stat, digest)
+        self._unparsed_files = b""
 
-    def get(self, key: DigestKey, stat_key: StatKey) -> str | None:
-        entry = self._loaded.get(key)
-        if entry is None or not trusted(stat_key, entry[0], self._written_ns):
-            return None
-        self._used[key] = entry
-        return entry[1]
-
-    def put(self, key: DigestKey, stat_key: StatKey, digest: str) -> None:
-        if any(c in key[0] for c in "\t\n\r"):
-            return  # the line could not be read back
-        self._used[key] = (stat_key, digest)
-        self._changed = True
-
-    def save(self) -> None:
-        if not self._changed and len(self._used) == len(self._loaded):
+    def save(self, build_dir: str | Path) -> None:
+        """Write the records, the file entries this make used and the
+        format line, with the tick of this write."""
+        if self._unparsed_files:
+            self._parse_files()
+        if not self.changed and len(self._used) == len(self._files):
             return
-        lines = []
-        for (path, algorithm, prefix), (stat_key, digest) in self._used.items():
-            fields = [path, algorithm, "-" if prefix is None else prefix.hex(),
-                      *map(str, stat_key), digest]
-            lines.append(os.fsencode("\t".join(fields)) + b"\n")
-        replace_file(self.path, b"".join(sorted(lines)))
+        lines = [f"{r.target}\t{r.built_at}\t{r.target_digest}\t{';'.join(r.prereq_digests)}\n"
+                 for _target, r in sorted(self.records.items())]
+        files = sorted(os.fsencode("\t".join([path, algorithm, "-" if prefix is None else prefix.hex(),
+                                               *map(str, stat), digest])) + b"\n"
+                       for (path, algorithm, prefix), (stat, digest) in self._used.items())
+        with staged(Path(build_dir) / STATE_RELPATH) as tmp:
+            tail = b"lineage-forge build-state %d tick %d\n" % (FORMAT, write_tick(tmp))
+            tmp.write_bytes(b"".join(["".join(lines).encode("utf-8"), b"\n", *files, tail]))
+        self.changed = False

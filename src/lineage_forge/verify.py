@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import DslSyntaxError, FileMissing, UsageError
 from .parser import DIGEST_LENGTHS, _HEX_RE, _reject_carriage_returns, split_lines
-from .state import DigestCache, file_digest
+from .state import BuildState, file_digest
 
 FILTER_NONE = "none"
 FILTER_STRIP = "strip-comments"
@@ -88,7 +88,7 @@ class VerificationReport:
 
 
 def filtered_digest(path: str | Path, filt: Filter, algorithm: str, *,
-                    cache: DigestCache | None = None) -> str:
+                    cache: BuildState | None = None) -> str:
     """Digest of the file after applying the metadata filter: strip-comments
     drops every line whose first byte is the prefix character (raw byte
     comparison, no whitespace skipping). Only a regular file is read: a
@@ -100,7 +100,7 @@ def filtered_digest(path: str | Path, filt: Filter, algorithm: str, *,
 
 
 def verify_entry(entry: VerificationEntry, build_dir: str | Path, *,
-                 cache: DigestCache | None = None) -> EntryResult:
+                 cache: BuildState | None = None) -> EntryResult:
     try:
         actual = filtered_digest(os.path.join(build_dir, entry.path), entry.filter,
                                  entry.algorithm, cache=cache)
@@ -111,7 +111,7 @@ def verify_entry(entry: VerificationEntry, build_dir: str | Path, *,
 
 
 def verify_all(entries: list[VerificationEntry], build_dir: str | Path, *,
-               cache: DigestCache | None = None) -> VerificationReport:
+               cache: BuildState | None = None) -> VerificationReport:
     """Check every entry, with no short-circuit, so the report names every
     failing file. Order of the report follows the entry list."""
     return VerificationReport([verify_entry(e, build_dir, cache=cache) for e in entries])

@@ -1,5 +1,6 @@
-"""The stat-keyed digest cache, checked against hashlib on the bytes on
-disk. CHUNK_SIZE is patched small, so that small files count as large."""
+"""The file table of the build state: the stat-keyed digests of large
+files, checked against hashlib on the bytes on disk. CHUNK_SIZE is
+patched small, so that small files count as large."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lineage_forge import project, state
 from lineage_forge.errors import VerificationFailed
 from lineage_forge.executor import DIGEST
-from lineage_forge.state import DIGESTS_RELPATH, DigestCache, file_digest
+from lineage_forge.state import STATE_RELPATH, BuildState, file_digest
 
 from oracles import whole_file_filtered_digest
 
@@ -34,7 +35,7 @@ def oracle(path: Path, prefix: bytes | None) -> str:
 
 def wait_past(paths: list[Path], probe: Path) -> None:
     """Return once the file system clock has moved past the mtime and
-    ctime of every existing path, so that a cache written now is newer
+    ctime of every existing path, so that a store written now is newer
     than all of them."""
     newest = max((max(p.stat().st_mtime_ns, p.stat().st_ctime_ns)
                   for p in paths if p.exists()), default=0)
@@ -47,11 +48,31 @@ def wait_past(paths: list[Path], probe: Path) -> None:
 
 def cache_line(path: Path, digest: str, prefix: bytes | None = None,
                algorithm: str = "sha256") -> bytes:
-    """One digests.tsv line for `path` as it is on disk now."""
+    """One file-table line for `path` as it is on disk now."""
     st_ = os.stat(path)
     fields = [os.path.abspath(path), algorithm, "-" if prefix is None else prefix.hex(),
               st_.st_dev, st_.st_ino, st_.st_size, st_.st_mtime_ns, st_.st_ctime_ns, digest]
     return os.fsencode("\t".join(map(str, fields))) + b"\n"
+
+
+def write_store(store: Path, file_lines: bytes, tick: int, records: bytes = b"") -> None:
+    """Write a store by hand: its records, the file table and a format
+    line that records `tick`."""
+    store.parent.mkdir(parents=True, exist_ok=True)
+    store.write_bytes(records + b"\n" + file_lines
+                      + b"lineage-forge build-state 1 tick %d\n" % tick)
+
+
+def file_table(store: Path) -> bytes:
+    """The file-table lines of a store that `save` wrote."""
+    data = store.read_bytes()
+    body, _, format_line = data[:-1].rpartition(b"\n")
+    assert format_line.startswith(b"lineage-forge build-state 1 tick ")
+    return (b"\n" + body + b"\n").rpartition(b"\n\n")[2]
+
+
+def recorded_tick(store: Path) -> int:
+    return int(store.read_bytes()[:-1].rpartition(b" ")[2])
 
 
 CONTENT = st.lists(st.sampled_from([b"#", b"\n", b"\r", b"a", b"bc", b"\xff"]),
@@ -72,7 +93,7 @@ class TestCacheProperty:
                 mock.patch.object(state, "CHUNK_SIZE", SMALL_CHUNK):
             root = Path(tmp)
             files = [root / name for name in ("a.csv", "b.txt", "c.dat")]
-            cache_file = root / "build" / DIGESTS_RELPATH
+            cache_file = root / "build" / STATE_RELPATH
             probe = root / "probe"
             for path, data in zip(files, initial):
                 path.write_bytes(data * 3)
@@ -81,12 +102,12 @@ class TestCacheProperty:
                 # Hash in a later clock tick than every edit, so that the
                 # cache written below trusts what it stores.
                 wait_past(files + [cache_file], probe)
-                cache = DigestCache.load(root / "build")
+                cache = BuildState.load(root / "build")
                 for path in files:
                     for prefix in PREFIXES:
                         assert file_digest(path, "sha256", prefix, cache=cache) == \
                             oracle(path, prefix), (path.name, prefix)
-                cache.save()
+                cache.save(root / "build")
 
             check()
             for kind, index, data in steps:
@@ -113,8 +134,10 @@ class TestCacheProperty:
                     n = index % len(lines)
                     fields = lines[n].split(b"\t")
                     if kind == "edit-cache" and len(fields) == 9:
-                        # a StatKey field; a digest or key edited into
-                        # another well-formed value is trusted as written
+                        # a StatKey field of a file entry; a digest or key
+                        # edited into another well-formed value is trusted
+                        # as written. Any other line, the format line
+                        # included, is truncated.
                         field = 3 + len(data) % 5
                         fields[field] = data.hex().encode() or b"1"
                         lines[n] = b"\t".join(fields)
@@ -126,19 +149,17 @@ class TestCacheProperty:
 
 class TestRacyRule:
     def cached_with_wrong_digest(self, tmp_path: Path) -> tuple[Path, Path]:
-        """A file whose cache entry matches its StatKey but holds a wrong
-        digest, so a trusted entry shows in the result."""
+        """A file whose file-table entry matches its StatKey but holds a
+        wrong digest, so a trusted entry shows in the result."""
         path = tmp_path / "data.csv"
         path.write_bytes(b"0123456789" * 10)
         os.utime(path, ns=(1_000_000_000, 1_000_000_000))  # mtime long ago
-        cache_file = tmp_path / "build" / DIGESTS_RELPATH
-        cache_file.parent.mkdir(parents=True)
-        cache_file.write_bytes(cache_line(path, "0" * 64))
-        return path, cache_file
+        return path, tmp_path / "build" / STATE_RELPATH
 
-    def digest_with_cache_mtime(self, tmp_path, path, cache_file, mtime_ns) -> str:
-        os.utime(cache_file, ns=(mtime_ns, mtime_ns))
-        return file_digest(path, cache=DigestCache.load(tmp_path / "build"))
+    def digest_with_cache_mtime(self, tmp_path, path, cache_file, tick) -> str:
+        """The digest served by a store whose format line records `tick`."""
+        write_store(cache_file, cache_line(path, "0" * 64), tick)
+        return file_digest(path, cache=BuildState.load(tmp_path / "build"))
 
     def test_entry_older_than_the_cache_is_trusted(self, tmp_path, small_chunks):
         path, cache_file = self.cached_with_wrong_digest(tmp_path)
@@ -149,14 +170,13 @@ class TestRacyRule:
         path, cache_file = self.cached_with_wrong_digest(tmp_path)
         future = time.time_ns() + 3600 * 10**9
         os.utime(path, ns=(future, future))
-        cache_file.write_bytes(cache_line(path, "0" * 64))
         after_ctime = path.stat().st_ctime_ns + 1  # only the mtime is not older
         assert self.digest_with_cache_mtime(tmp_path, path, cache_file, after_ctime) == \
             oracle(path, None)
 
     def test_ctime_not_older_than_the_cache_is_rehashed(self, tmp_path, small_chunks):
         # mtime set long ago by os.utime; the ctime of that call is what
-        # shows the file was written in the cache's tick
+        # shows the file was written in the store's tick
         path, cache_file = self.cached_with_wrong_digest(tmp_path)
         same_tick = path.stat().st_ctime_ns
         assert path.stat().st_mtime_ns < same_tick
@@ -165,65 +185,84 @@ class TestRacyRule:
 
     def test_racy_rehash_rewrites_the_cache(self, tmp_path, small_chunks):
         path, cache_file = self.cached_with_wrong_digest(tmp_path)
-        os.utime(cache_file, ns=(path.stat().st_ctime_ns,) * 2)
-        cache = DigestCache.load(tmp_path / "build")
+        write_store(cache_file, cache_line(path, "0" * 64), path.stat().st_ctime_ns)
+        cache = BuildState.load(tmp_path / "build")
         assert file_digest(path, cache=cache) == oracle(path, None)
-        cache.save()
-        assert cache_file.read_bytes() == cache_line(path, oracle(path, None))
-        assert cache_file.stat().st_mtime_ns > path.stat().st_ctime_ns
+        cache.save(tmp_path / "build")
+        assert file_table(cache_file) == cache_line(path, oracle(path, None))
+        assert recorded_tick(cache_file) > path.stat().st_ctime_ns
+
+    def test_moving_the_store_mtime_trusts_no_racy_entry(self, tmp_path):
+        """A large file changed in (or after) the clock tick of the store
+        that records it stays untrusted when the store's mtime is moved
+        past it, as a `touch` or a restore from backup moves it."""
+        path, build = tmp_path / "big.csv", tmp_path / "build"
+        path.write_bytes(b"0123456789abcdef" * (state.CHUNK_SIZE // 8))
+        # An mtime no write tick of this save can pass: the racy case.
+        ahead = time.time_ns() + 3600 * 10**9
+        os.utime(path, ns=(ahead, ahead))
+        cache = BuildState.load(build)
+        assert file_digest(path, cache=cache) == oracle(path, None)
+        cache.save(build)
+        store = build / STATE_RELPATH
+        assert file_table(store) == cache_line(path, oracle(path, None))
+        # A well-formed hand edit of the digest shows whether it is trusted.
+        store.write_bytes(store.read_bytes().replace(oracle(path, None).encode(), b"0" * 64))
+        os.utime(store, ns=(ahead + 10**9, ahead + 10**9))
+        assert file_digest(path, cache=BuildState.load(build)) == oracle(path, None)
 
 
 class TestCacheFile:
     def test_change_between_hash_and_save_is_seen(self, tmp_path, small_chunks):
         # Only the ctime in the StatKey shows this edit: same inode, same
-        # size, mtime restored, and both older than the cache file.
+        # size, mtime restored, and both older than the store's tick.
         path, probe = tmp_path / "data.csv", tmp_path / "probe"
         path.write_bytes(b"0123456789" * 4)
-        cache = DigestCache.load(tmp_path)
+        cache = BuildState.load(tmp_path)
         file_digest(path, cache=cache)
         wait_past([path], probe)
         before = path.stat()
         path.write_bytes(b"9876543210" * 4)
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         wait_past([path], probe)
-        cache.save()
-        assert file_digest(path, cache=DigestCache.load(tmp_path)) == oracle(path, None)
+        cache.save(tmp_path)
+        assert file_digest(path, cache=BuildState.load(tmp_path)) == oracle(path, None)
 
     def test_small_files_are_not_cached(self, tmp_path):
         path = tmp_path / "small.txt"
         path.write_bytes(b"x" * (state.CHUNK_SIZE - 1))
-        cache = DigestCache.load(tmp_path)
+        cache = BuildState.load(tmp_path)
         assert file_digest(path, cache=cache) == oracle(path, None)
-        cache.save()
-        assert not (tmp_path / DIGESTS_RELPATH).exists()
+        cache.save(tmp_path)
+        assert not (tmp_path / STATE_RELPATH).exists()
 
     def test_holds_exactly_the_entries_used(self, tmp_path, small_chunks):
         paths = [tmp_path / f"f{i}.csv" for i in range(3)]
         for path in paths:
             path.write_bytes(path.name.encode() * 10)
-        cache = DigestCache.load(tmp_path)
+        cache = BuildState.load(tmp_path)
         for path in paths:
             file_digest(path, cache=cache)
-        cache.save()
-        cache_file = tmp_path / DIGESTS_RELPATH
-        assert cache_file.read_bytes() == b"".join(
+        cache.save(tmp_path)
+        cache_file = tmp_path / STATE_RELPATH
+        assert file_table(cache_file) == b"".join(
             sorted(cache_line(p, oracle(p, None)) for p in paths))
         plain = tmp_path / "plain"
         plain.write_bytes(b"")  # the mode the umask gives, readable by a build group
         assert cache_file.stat().st_mode == plain.stat().st_mode
-        assert sorted(os.listdir(cache_file.parent)) == ["digests.tsv"]
+        assert sorted(os.listdir(cache_file.parent)) == ["build-state.tsv"]
 
         wait_past(paths, tmp_path / "probe")
-        cache = DigestCache.load(tmp_path)
+        cache = BuildState.load(tmp_path)
         file_digest(paths[0], cache=cache)
-        cache.save()
-        assert cache_file.read_bytes() == cache_line(paths[0], oracle(paths[0], None))
+        cache.save(tmp_path)
+        assert file_table(cache_file) == cache_line(paths[0], oracle(paths[0], None))
 
         wait_past([cache_file], tmp_path / "probe")
-        cache = DigestCache.load(tmp_path)
+        cache = BuildState.load(tmp_path)
         file_digest(paths[0], cache=cache)
         before = cache_file.stat().st_mtime_ns
-        cache.save()  # nothing changed: the file is not written
+        cache.save(tmp_path)  # nothing changed: the file is not written
         assert cache_file.stat().st_mtime_ns == before
 
     @pytest.mark.parametrize("name", ["tab\there.csv", "line\nbreak.csv", "cr\rhere.csv"])
@@ -231,11 +270,11 @@ class TestCacheFile:
         odd, plain = tmp_path / name, tmp_path / "plain.csv"
         for path in (odd, plain):
             path.write_bytes(b"0123456789" * 4)
-        cache = DigestCache.load(tmp_path / "build")
+        cache = BuildState.load(tmp_path / "build")
         assert file_digest(odd, cache=cache) == oracle(odd, None)
         assert file_digest(plain, cache=cache) == oracle(plain, None)
-        cache.save()
-        assert (tmp_path / "build" / DIGESTS_RELPATH).read_bytes() == \
+        cache.save(tmp_path / "build")
+        assert file_table(tmp_path / "build" / STATE_RELPATH) == \
             cache_line(plain, oracle(plain, None))
 
     @pytest.mark.parametrize("damage", ["missing", "directory", "binary", "short-digest",
@@ -243,26 +282,31 @@ class TestCacheFile:
     def test_unreadable_cache_only_rehashes(self, tmp_path, small_chunks, damage):
         path = tmp_path / "data.csv"
         path.write_bytes(b"0123456789" * 4)
-        cache_file = tmp_path / "build" / DIGESTS_RELPATH
+        cache_file = tmp_path / "build" / STATE_RELPATH
         cache_file.parent.mkdir(parents=True)
         wrong = cache_line(path, "0" * 64)
+        future = time.time_ns() + 3600 * 10**9  # a tick that would trust the entry
         if damage == "directory":
             cache_file.mkdir()
         elif damage == "binary":
             cache_file.write_bytes(bytes(range(256)) * 4)
         elif damage == "short-digest":
-            cache_file.write_bytes(wrong[:-2] + b"\n")
+            write_store(cache_file, wrong[:-2] + b"\n", future)
         elif damage == "bad-algorithm":
-            cache_file.write_bytes(wrong.replace(b"\tsha256\t", b"\tsha999\t"))
+            write_store(cache_file, wrong.replace(b"\tsha256\t", b"\tsha999\t"), future)
         elif damage == "four-stat-fields":
             fields = wrong.split(b"\t")
-            cache_file.write_bytes(b"\t".join(fields[:3] + fields[4:]))
+            write_store(cache_file, b"\t".join(fields[:3] + fields[4:]), future)
         wait_past([path], tmp_path / "probe")
-        cache = DigestCache.load(tmp_path / "build")
+        cache = BuildState.load(tmp_path / "build")
         assert file_digest(path, cache=cache) == oracle(path, None)
-        cache.save()  # a directory in the way is logged, not raised
-        if damage != "directory":
-            assert cache_file.read_bytes() == cache_line(path, oracle(path, None))
+        if damage == "directory":
+            with pytest.raises(OSError):  # the store, unlike a cache, is not optional
+                cache.save(tmp_path / "build")
+            assert os.listdir(cache_file.parent) == ["build-state.tsv"]
+        else:
+            cache.save(tmp_path / "build")
+            assert file_table(cache_file) == cache_line(path, oracle(path, None))
 
 
 def write_tarballs(software: Path) -> None:
@@ -278,7 +322,7 @@ class TestMakeUsesCacheVerifyDoesNot:
         project.configure(demo_project, tmp_path / "build", input_dir="data",
                           software_dir=str(software))
         project.run_make(demo_project, mode=DIGEST, offline=True)
-        cache_file = tmp_path / "build" / DIGESTS_RELPATH
+        cache_file = tmp_path / "build" / STATE_RELPATH
         deliverable = tmp_path / "build" / "demo" / "papers-formatted.txt"  # strip-comments:#
         key = os.fsencode(deliverable) + b"\tsha256\t23\t"
         lines = cache_file.read_bytes().splitlines(keepends=True)
@@ -295,11 +339,10 @@ class TestMakeUsesCacheVerifyDoesNot:
         result = project.run_verify(demo_project)
         assert result.ok and "demo/papers-formatted.txt" in [r.path for r in result.results]
 
-        # configure hashes every tarball, whatever the cache says
+        # configure hashes every tarball, whatever the store says
         tarballs = sorted(software.iterdir())
-        wait_past(tarballs + [cache_file], tmp_path / "probe")
-        cache_file.write_bytes(b"".join(cache_line(t, "0" * 128, algorithm="sha512")
-                                        for t in tarballs))
+        write_store(cache_file, b"".join(cache_line(t, "0" * 128, algorithm="sha512")
+                                         for t in tarballs), time.time_ns() + 3600 * 10**9)
         events = []
         project.configure(demo_project, tmp_path / "build", input_dir="data",
                           software_dir=str(software), on_event=events.append)
@@ -308,13 +351,46 @@ class TestMakeUsesCacheVerifyDoesNot:
 
     def test_clean_deletes_the_cache(self, demo_project, tmp_path, small_chunks):
         project.run_make(demo_project, offline=True)
-        cache_file = tmp_path / "build" / DIGESTS_RELPATH
-        assert cache_file.is_file()
+        cache_file = tmp_path / "build" / STATE_RELPATH
+        assert file_table(cache_file)
         project.clean(demo_project)
         assert not cache_file.exists()
 
     def test_make_with_a_directory_in_place_of_the_cache(self, demo_project, tmp_path,
                                                          small_chunks):
-        (tmp_path / "build" / DIGESTS_RELPATH).mkdir()
-        project.run_make(demo_project, mode=DIGEST, offline=True)
+        # The store holds the records, so a make that cannot save it fails,
+        # once every target is built and verified.
+        (tmp_path / "build" / STATE_RELPATH).mkdir()
+        with pytest.raises(IsADirectoryError):
+            project.run_make(demo_project, mode=DIGEST, offline=True)
         assert project.run_verify(demo_project).ok
+
+
+class TestUpgrade:
+    def test_state_of_the_previous_format_rebuilds_nothing(self, demo_project, tmp_path,
+                                                           small_chunks):
+        """A build directory whose state is a header-less build-state.tsv
+        and a digests.tsv, as the engine wrote them before the store held
+        the file table: the records are read as they were, and
+        digests.tsv is ignored until `clean` deletes it."""
+        project.run_make(demo_project, offline=True)
+        build = tmp_path / "build"
+        store, legacy = build / STATE_RELPATH, build / "state" / "digests.tsv"
+        records = store.read_bytes().partition(b"\n\n")[0] + b"\n"
+        deliverable = build / "demo" / "papers-formatted.txt"
+        wait_past([deliverable], tmp_path / "probe")
+        store.write_bytes(records)
+        # Wrong digests that a reader of digests.tsv would trust.
+        legacy.write_bytes(cache_line(deliverable, "0" * 64, b"#") +
+                           cache_line(deliverable, "0" * 64))
+
+        for mode in ("timestamp", DIGEST):
+            result = project.run_make(demo_project, mode=mode, offline=True)
+            assert result.report.executed == []
+            assert result.verification.ok
+        assert store.read_bytes().startswith(records)
+        assert recorded_tick(store) > 0
+        assert project.run_verify(demo_project).ok
+
+        project.clean(demo_project)
+        assert not legacy.exists() and not store.exists()

@@ -273,10 +273,9 @@ def edit_in_cache_tick(root: Path, build: Path, n: int) -> None:
     """Edit a file, then forge the cache as if it had been written in the
     same clock tick, just before the edit, with the StatKey in the edited
     file's record equal to its new one (as the coarse clocks of some file
-    systems allow): the racy rule must refuse to trust it. Only a cache
-    that holds the project as it is now is forged, as `make` would have
-    written it: a record forged before, and not yet rewritten by a load,
-    would pass for trusted once the forged cache is newer than its file."""
+    systems allow): the racy rule must refuse to trust it, however the
+    cache file is written afterwards. Only a cache that holds the project
+    as it is now is forged, as `make` would have written it."""
     cache = build / LINEAGE_RELPATH
     if not reused(root, build):
         return
@@ -294,19 +293,15 @@ def edit_in_cache_tick(root: Path, build: Path, n: int) -> None:
     st_ = path.stat()
     record[1] = [st_.st_dev, st_.st_ino, st_.st_size, st_.st_mtime_ns, st_.st_ctime_ns]
     records[at] = json.dumps(record).encode()
-    cache.write_bytes(b"\n".join([header, *records]))
-    tick = max(st_.st_mtime_ns, st_.st_ctime_ns)
-    os.utime(cache, ns=(tick, tick))
+    doc = {**json.loads(header), "tick": max(st_.st_mtime_ns, st_.st_ctime_ns)}
+    cache.write_bytes(b"\n".join([json.dumps(doc).encode(), *records]))
 
 
 def write_damaged(cache: Path, data: bytes) -> None:
-    """Replace the cache's bytes, keeping its mtime: records are trusted
-    against the time `make` wrote them, and damage is not such a write.
-    (A record forged by `edit_in_cache_tick` and not yet rewritten would
-    pass for trusted in a cache made newer than its file.)"""
-    written = cache.stat().st_mtime_ns
+    """Replace the cache's bytes. The write moves the file's mtime, but
+    records are trusted against the tick the header records, so a record
+    forged by `edit_in_cache_tick` stays refused."""
     cache.write_bytes(data)
-    os.utime(cache, ns=(written, written))
 
 
 def garble_cache(root: Path, build: Path, n: int) -> None:
@@ -471,7 +466,11 @@ class TestGoalAlias:
             cached, uncached = cached_then_edited(root, build, self.TOP, text)
             assert cached == uncached
             assert cached[-1] == goal
+        # The cache written just after the edit may share its clock tick,
+        # so the racy rule may refuse top.wf's record once; a load in a
+        # later tick writes one that holds the project as it is now.
         wait_past(root, build.parent / "probe")
+        outcome(root, build)
         assert reused(root, build)
         assert outcome(root, build) == outcome(root)
 
@@ -629,12 +628,49 @@ class TestHitAndMiss:
         want = outcome(root, build)
         cache = build / LINEAGE_RELPATH
         header, newline, rest = cache.read_bytes().partition(b"\n")
-        doc = {**json.loads(header), "format": 3, "inputs": [], "runs": []}
-        write_damaged(cache, json.dumps(doc).encode() + newline + rest)
+        # Format 4 judged its records by the cache file's mtime.
+        doc = {k: v for k, v in json.loads(header).items() if k != "tick"}
+        write_damaged(cache, json.dumps({**doc, "format": 4}).encode() + newline + rest)
         cached, parsed = cached_with_parses(root, build)
         assert cached == want
         assert parsed == {p.relative_to(root).as_posix() for p in dsl_files(root)}
-        assert json.loads(cache.read_bytes().partition(b"\n")[0])["format"] == 4
+        assert json.loads(cache.read_bytes().partition(b"\n")[0])["format"] == \
+            lineage_cache.FORMAT == 5
+
+
+class TestForeignWrite:
+    def test_moving_the_cache_mtime_trusts_no_racy_record(self, tmp_path):
+        """A DSL file changed in (or after) the clock tick its record was
+        written in stays untrusted when the cache file's mtime is moved
+        past it, as a `touch` or a restore from backup moves it."""
+        root = tmp_path / "proj"
+        create_demo_project(root)
+        init_repo(root)
+        project.configure(root, tmp_path / "build", input_dir="data")
+        project.run_make(root, offline=True)
+        path = dsl_files(root)[-1]
+        rel = path.relative_to(root).as_posix()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("# edited\n")
+        # An mtime no write tick of this make can pass: the racy case.
+        ahead = time.time_ns() + 3600 * 10**9
+        os.utime(path, ns=(ahead, ahead))
+        parsed: list[str] = []
+        real = parser.parse_workflow
+
+        def spy(text, origin):
+            parsed.append(origin)
+            return real(text, origin)
+
+        with mock.patch.object(parser, "parse_workflow", spy), \
+                mock.patch.object(lineage_cache, "parse_workflow", spy):
+            project.run_make(root, offline=True)
+            assert parsed == [rel]
+            cache = tmp_path / "build" / LINEAGE_RELPATH
+            os.utime(cache, ns=(ahead + 10**9, ahead + 10**9))
+            parsed.clear()
+            project.run_make(root, offline=True)
+            assert parsed == [rel]
 
 
 class TestLinesSplitAtLfAlone:
@@ -766,9 +802,7 @@ class TestRecordNoLongerMatchesItsFile:
         in_txt = next(item for item in record[2] if item[2] == ".build/in.txt")
         in_txt[0] += 1  # the recipe line under it
         lines[at] = json.dumps(record).encode()
-        written = cache.stat().st_mtime_ns
         cache.write_bytes(b"\n".join([header, *lines]))
-        os.utime(cache, ns=(written, written))
         (root / CONF_DIR / "a.conf").write_text("k0 = 5\nk1 = $(k0)x\n", encoding="utf-8")
         assert outcome(root, build) == outcome(root)
 

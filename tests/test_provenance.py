@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import array
 import json
+import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -137,11 +139,25 @@ class TestGitState:
         init_repo(tmp_path)
         (tmp_path / "f.txt").write_text("edited\n", encoding="utf-8")
         calls = []
-        run = provenance.subprocess.run
-        monkeypatch.setattr(provenance.subprocess, "run",
-                            lambda *args, **kwargs: calls.append(args) or run(*args, **kwargs))
+        popen = provenance.subprocess.Popen
+        monkeypatch.setattr(provenance.subprocess, "Popen",
+                            lambda *args, **kwargs: calls.append(args) or popen(*args, **kwargs))
         assert git_state(tmp_path).dirty
         assert len(calls) == 1
+
+    def test_hung_git_is_killed(self, tmp_path, monkeypatch):
+        bin_dir, pid_file = tmp_path / "bin", tmp_path / "git.pid"
+        bin_dir.mkdir()
+        fake = bin_dir / "git"
+        fake.write_text(f"#!/bin/sh\necho $$ > '{pid_file}'\nexec sleep 60\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setattr(provenance, "GIT_TIMEOUT", 0.2)
+        started = time.monotonic()
+        assert git_state(tmp_path) is None
+        assert time.monotonic() - started < 1
+        with pytest.raises(ProcessLookupError):  # killed, and reaped
+            os.kill(int(pid_file.read_text()), 0)
 
     def test_non_repo_returns_none(self, tmp_path):
         assert git_state(tmp_path) is None

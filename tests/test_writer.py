@@ -31,14 +31,7 @@ from lineage_forge.project import (
     run_make,
     run_record,
 )
-from lineage_forge.state import (
-    DIGESTS_RELPATH,
-    STATE_RELPATH,
-    BuildState,
-    DigestCache,
-    TargetRecord,
-    staged,
-)
+from lineage_forge.state import STATE_RELPATH, BuildState, TargetRecord, staged
 
 from conftest import init_repo
 from test_fetch import spec_for
@@ -58,8 +51,10 @@ def demo(tmp_path: Path, *, built: bool = False) -> tuple[Path, Path]:
 
 # Each case sets up one writer and returns (the file it writes, the write).
 def build_state_case(tmp_path):
+    # Both tables: a target record and a file entry.
     state = BuildState()
     state.put(TargetRecord("out.txt", 1, "ab", ("cd",)))
+    state.remember((str(tmp_path / "big.csv"), "sha256", None), (1, 2, 3, 4, 5), "ab" * 32)
     return tmp_path / STATE_RELPATH, lambda: state.save(tmp_path)
 
 
@@ -87,12 +82,6 @@ def bibliography_case(tmp_path):
     return build / BIBLIOGRAPHY_RELPATH, lambda: _emit_bibliography(root, build, entries)
 
 
-def digest_cache_case(tmp_path):
-    cache = DigestCache.load(tmp_path)
-    cache.put((str(tmp_path / "big.csv"), "sha256", None), (1, 2, 3, 4, 5), "ab" * 32)
-    return tmp_path / DIGESTS_RELPATH, cache.save
-
-
 def lineage_cache_case(tmp_path):
     root, build = demo(tmp_path)
     return build / LINEAGE_RELPATH, lambda: Project.load(root, build_dir=build)
@@ -104,7 +93,6 @@ WRITERS = {
     "run_record": run_record_case,
     "_aggregate_stage": aggregate_case,
     "_emit_bibliography": bibliography_case,
-    "DigestCache.save": digest_cache_case,
     "LineageCache.save": lineage_cache_case,
 }
 
