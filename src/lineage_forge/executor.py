@@ -42,16 +42,14 @@ OUTPUT_TAIL_CHARS = 2000
 
 @dataclass(frozen=True)
 class EnvPolicy:
-    """Recipe environment: fixed variables plus explicit passthrough only."""
+    """Recipe environment: the fixed variables and nothing inherited."""
 
     fixed: dict[str, str]
-    passthrough: tuple[str, ...] = ()
     workdir: str = "."
     shell: str = "/bin/sh"
 
     @classmethod
-    def hermetic(cls, build_dir: str | Path, tool_path: str, workdir: str | Path,
-                 passthrough: tuple[str, ...] = ()) -> "EnvPolicy":
+    def hermetic(cls, build_dir: str | Path, tool_path: str, workdir: str | Path) -> "EnvPolicy":
         return cls(
             fixed={
                 "HOME": str(build_dir),
@@ -59,16 +57,11 @@ class EnvPolicy:
                 "LC_ALL": "C",
                 "TZ": "UTC0",
             },
-            passthrough=passthrough,
             workdir=str(workdir),
         )
 
     def environment(self) -> dict[str, str]:
-        env = dict(self.fixed)
-        for name in self.passthrough:
-            if name in os.environ:
-                env[name] = os.environ[name]
-        return env
+        return dict(self.fixed)
 
 
 @dataclass(frozen=True)

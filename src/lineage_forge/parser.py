@@ -144,17 +144,27 @@ def _is_comment_or_blank(line: str) -> bool:
     return not stripped or stripped.startswith("#")
 
 
+def content_lines(text: str, origin: str) -> list[tuple[int, str]]:
+    """The lines of a configuration file `origin`, numbered from 1, less
+    its blank lines and `#` comments. A CR anywhere is an error."""
+    _reject_carriage_returns(text, origin)
+    return [(lineno, line) for lineno, line in enumerate(split_lines(text), start=1)
+            if not _is_comment_or_blank(line)]
+
+
+def is_digest(text: str, algorithm: str) -> bool:
+    """Whether `text` is hex digits, as many as an `algorithm` digest has."""
+    return len(text) == DIGEST_LENGTHS[algorithm] and _HEX_RE.fullmatch(text) is not None
+
+
 def parse_config(text: str, origin: str) -> list[ConfigParam]:
     """Parse a configuration file of `key = value` lines.
 
     Blank lines and `#` comments are ignored. A key assigned twice keeps
     its last value; the override is logged. Anything else is an error.
     """
-    _reject_carriage_returns(text, origin)
     params: dict[str, ConfigParam] = {}
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if _is_comment_or_blank(line):
-            continue
+    for lineno, line in content_lines(text, origin):
         match = ASSIGNMENT_RE.match(line.strip())
         if not match:
             raise DslSyntaxError(origin, lineno, f"expected 'key = value', got {line.strip()!r}")
@@ -509,7 +519,7 @@ def parse_inputs_manifest(params: list[ConfigParam]) -> list[InputSpec]:
         digest = digest.lower()
         if not _HEX_RE.fullmatch(digest):
             raise MalformedDigest(name, f"digest is not hexadecimal: {digest!r}")
-        if len(digest) != DIGEST_LENGTHS[algorithm]:
+        if not is_digest(digest, algorithm):
             raise MalformedDigest(
                 name,
                 f"{algorithm} digest must be {DIGEST_LENGTHS[algorithm]} hex chars, "

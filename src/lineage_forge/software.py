@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, DuplicateSoftware, MalformedDigest, NameCollision
-from .parser import _HEX_RE, _reject_carriage_returns, split_lines
+from .parser import DIGEST_LENGTHS, content_lines, is_digest
 from .provenance import MacroDefinition
 from .state import file_digest
 
 TARGETS_RELPATH = "reproduce/software/config/TARGETS.conf"
-SHA512_LEN = 128
 
 _DIGIT_WORDS = {
     "0": "zero", "1": "one", "2": "two", "3": "three", "4": "four",
@@ -58,11 +57,8 @@ def parse_targets(text: str, origin: str = TARGETS_RELPATH) -> list[SoftwareEntr
 
     Returned entries are sorted by name; a repeated name is an error.
     """
-    _reject_carriage_returns(text, origin)
     entries: dict[str, SoftwareEntry] = {}
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in content_lines(text, origin):
         parts = line.split("\t")
         if len(parts) < 4 or len(parts) > 6:
             raise DslSyntaxError(origin, lineno, "expected 4 to 6 tab-separated fields")
@@ -70,8 +66,8 @@ def parse_targets(text: str, origin: str = TARGETS_RELPATH) -> list[SoftwareEntr
         if not name or not version:
             raise DslSyntaxError(origin, lineno, "name and version must be nonempty")
         sha512 = sha512.lower()
-        if len(sha512) != SHA512_LEN or not _HEX_RE.fullmatch(sha512):
-            raise MalformedDigest(name, f"sha512 must be {SHA512_LEN} hex chars")
+        if not is_digest(sha512, "sha512"):
+            raise MalformedDigest(name, f"sha512 must be {DIGEST_LENGTHS['sha512']} hex chars")
         if name in entries:
             raise DuplicateSoftware(name)
         keys = tuple(k for k in parts[4].split(",") if k) if len(parts) >= 5 else ()

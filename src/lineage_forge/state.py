@@ -13,13 +13,14 @@ It holds, in this order:
 - the format line, `lineage-forge build-state <format> tick <ns>`,
   with the store's write tick (`write_tick`).
 
-`BuildState.load` reads the file and its format line; each table is
-parsed on its first use, so a timestamp-mode no-op parses nothing. A
-record that does not parse (a hand edit) is skipped with a warning, and
-can only make its target rebuild; a file entry that does not parse only
-costs a hash. A file with no format line, written before the file table
-existed or cut short, is read as records alone: an upgrade rebuilds
-nothing.
+`BuildState.load` reads the file, its format line and the file table;
+the records are parsed on their first use, so a timestamp-mode no-op
+parses none. A record that does not parse (a hand edit) is skipped with
+a warning, and can only make its target rebuild; a file entry that does
+not parse only costs a hash. A file with no format line, written before
+the file table existed or cut short, is read as records alone: an
+upgrade rebuilds nothing. A store that cannot be written is one warning,
+as `lineage.json` is.
 
 The file table and `lineage.json` (see `lineage_cache.py`) trust a file
 by its StatKey under one racy rule, `trusted`, against the write tick
@@ -176,21 +177,18 @@ class TargetRecord(NamedTuple):
 class BuildState:
     """The store: the target records, by target, and the file table.
 
-    `load` reads the file's bytes and its format line; the first `get`,
-    `put`, `forget` or read of `records` parses the records, and the
-    first `lookup` the file table. `changed` is True once a record or a
-    file entry is put or dropped, or a damaged line read; `save` writes
-    nothing unless it is, or this make used fewer entries than it read."""
+    `load` reads the file's bytes, its format line and the file table;
+    the first `get`, `put`, `forget` or read of `records` parses the
+    records. `changed` is True once a record or a file entry is put or
+    dropped, or a damaged line read; `save` writes nothing unless it is."""
 
     def __init__(self):
         self._records: dict[str, TargetRecord] = {}
-        self._files: dict[DigestKey, tuple[StatKey, str]] = {}  # as read
-        self._used: dict[DigestKey, tuple[StatKey, str]] = {}
+        self._files: dict[DigestKey, tuple[StatKey, str]] = {}
         self._tick = 0  # as recorded; 0 trusts no entry
         # Until parsed: the file, its bytes and where its records end (-1:
-        # at the end); the file table's bytes.
+        # at the end).
         self._unparsed: tuple[Path, bytes, int] | None = None
-        self._unparsed_files = b""
         self.changed = False
 
     @property
@@ -213,18 +211,15 @@ class BuildState:
     def lookup(self, key: DigestKey, stat: StatKey) -> str | None:
         """The digest the file table holds for `key`, a large file, if
         its StatKey is `stat` and `trusted` against the store's tick."""
-        if self._unparsed_files:
-            self._parse_files()
         entry = self._files.get(key)
         if entry is None or not trusted(stat, entry[0], self._tick):
             return None
-        self._used[key] = entry
         return entry[1]
 
     def remember(self, key: DigestKey, stat: StatKey, digest: str) -> None:
         if any(c in key[0] for c in "\t\n\r"):
             return  # the line could not be read back
-        self._used[key] = (stat, digest)
+        self._files[key] = (stat, digest)
         self.changed = True
 
     @classmethod
@@ -241,7 +236,8 @@ class BuildState:
             # The file table runs from the last empty line to the format line.
             cut = data.rfind(b"\n\n", 0, last) + 1 or (0 if data[:1] == b"\n" else -1)
             if cut >= 0:
-                state._tick, state._unparsed_files = int(line[2]), data[cut + 1:last]
+                state._tick = int(line[2])
+                state._parse_files(data[cut + 1:last])
         state._unparsed = (path, data, cut)
         return state
 
@@ -269,11 +265,13 @@ class BuildState:
         if dropped:
             self.changed = True  # the next save drops the line
 
-    def _parse_files(self) -> None:
+    def _parse_files(self, table: bytes) -> None:
         """Per line: absolute path, algorithm, strip prefix (hex, `-` for
         none), the five StatKey fields and the digest. A line that parses
-        is trusted as written."""
-        for raw in self._unparsed_files.split(b"\n")[:-1]:
+        is trusted as written, unless its file changed in or after the
+        store's tick: that entry the racy rule refused, and a later save,
+        with a newer tick, would trust it."""
+        for raw in table.split(b"\n")[:-1]:
             try:
                 path, algorithm, prefix, *stat_fields, digest = raw.split(b"\t")
                 stat = tuple(int(n) for n in stat_fields)
@@ -287,22 +285,26 @@ class BuildState:
             except ValueError:
                 self.changed = True  # the next save drops the line
                 continue
-            self._files[key] = (stat, digest)
-        self._unparsed_files = b""
+            if max(stat[3:]) < self._tick:
+                self._files[key] = (stat, digest)
 
     def save(self, build_dir: str | Path) -> None:
-        """Write the records, the file entries this make used and the
-        format line, with the tick of this write."""
-        if self._unparsed_files:
-            self._parse_files()
-        if not self.changed and len(self._used) == len(self._files):
+        """Write the records, the file table and the format line, with the
+        tick of this write, if anything changed. A store that cannot be
+        written only costs a warning: the next make rebuilds or re-hashes
+        what it would have recorded."""
+        if not self.changed:
             return
         lines = [f"{r.target}\t{r.built_at}\t{r.target_digest}\t{';'.join(r.prereq_digests)}\n"
                  for _target, r in sorted(self.records.items())]
         files = sorted(os.fsencode("\t".join([path, algorithm, "-" if prefix is None else prefix.hex(),
                                                *map(str, stat), digest])) + b"\n"
-                       for (path, algorithm, prefix), (stat, digest) in self._used.items())
-        with staged(Path(build_dir) / STATE_RELPATH) as tmp:
-            tail = b"lineage-forge build-state %d tick %d\n" % (FORMAT, write_tick(tmp))
-            tmp.write_bytes(b"".join(["".join(lines).encode("utf-8"), b"\n", *files, tail]))
-        self.changed = False
+                       for (path, algorithm, prefix), (stat, digest) in self._files.items())
+        path = Path(build_dir) / STATE_RELPATH
+        try:
+            with staged(path) as tmp:
+                tail = b"lineage-forge build-state %d tick %d\n" % (FORMAT, write_tick(tmp))
+                tmp.write_bytes(b"".join(["".join(lines).encode("utf-8"), b"\n", *files, tail]))
+            self.changed = False
+        except OSError as exc:
+            log.warning("%s: could not write the build state: %s", path, exc)

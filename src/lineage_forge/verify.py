@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DslSyntaxError, FileMissing, UsageError
-from .parser import DIGEST_LENGTHS, _HEX_RE, _reject_carriage_returns, split_lines
+from .parser import DIGEST_LENGTHS, content_lines, is_digest
 from .state import BuildState, file_digest
 
 FILTER_NONE = "none"
@@ -61,7 +61,7 @@ class VerificationEntry:
     def __post_init__(self) -> None:
         if self.algorithm not in DIGEST_LENGTHS:
             raise ValueError(f"unsupported algorithm {self.algorithm!r}")
-        if len(self.expected) != DIGEST_LENGTHS[self.algorithm] or not _HEX_RE.fullmatch(self.expected):
+        if not is_digest(self.expected, self.algorithm):
             raise ValueError(
                 f"{self.path}: {self.algorithm} digest must be "
                 f"{DIGEST_LENGTHS[self.algorithm]} hex chars"
@@ -119,11 +119,8 @@ def verify_all(entries: list[VerificationEntry], build_dir: str | Path, *,
 
 def parse_manifest(text: str, origin: str = "verify.conf") -> list[VerificationEntry]:
     """Parse the TSV manifest; blank lines and `#` comments are ignored."""
-    _reject_carriage_returns(text, origin)
     entries: list[VerificationEntry] = []
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in content_lines(text, origin):
         parts = line.split("\t")
         if len(parts) != 4:
             raise DslSyntaxError(origin, lineno, "expected path<TAB>algorithm<TAB>digest<TAB>filter")

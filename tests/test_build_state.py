@@ -109,7 +109,7 @@ class TestRoundTrip:
             assert warnings == []
             assert not loaded.changed
             before = snapshot(path)
-            loaded.save(tmp)  # every entry used, nothing changed: no write
+            loaded.save(tmp)  # nothing changed: no write
             assert snapshot(path) == before
         assert read == {
             target: TargetRecord(target, epoch, tdigest, tuple(d for d in digests if d))
@@ -202,12 +202,15 @@ class TestRoundTrip:
         assert path.read_bytes() == data
         assert sorted(logged(lambda: loaded.records)[0]) == ["t1", "t2"]
 
-    def test_each_table_is_parsed_on_its_first_use(self, tmp_path):
+    def test_records_are_parsed_on_first_use_and_the_file_table_at_load(self, tmp_path):
         key, stat = ("/data/big.csv", "sha256", None), (1, 2, 3, 4, 5)
         filled({"out.txt": (1, "ab", ["cd"])}, {key: stat}).save(tmp_path)
         unused = mock.Mock(side_effect=AssertionError("parsed before its first use"))
-        with mock.patch.object(BuildState, "_parse", unused):
-            assert BuildState.load(tmp_path).lookup(key, stat) == digest_for(key)
-        with mock.patch.object(BuildState, "_parse_files", unused):
-            assert BuildState.load(tmp_path).get("out.txt") == \
-                TargetRecord("out.txt", 1, "ab", ("cd",))
+        with mock.patch.object(BuildState, "_parse", unused), \
+                mock.patch.object(BuildState, "_parse_files", autospec=True,
+                                  side_effect=BuildState._parse_files) as parse_files:
+            loaded = BuildState.load(tmp_path)
+            assert parse_files.call_count == 1
+            assert loaded.lookup(key, stat) == digest_for(key)
+        assert parse_files.call_count == 1
+        assert loaded.get("out.txt") == TargetRecord("out.txt", 1, "ab", ("cd",))

@@ -240,6 +240,32 @@ class TestMake:
         assert "state/build-state.tsv:1" in proc.stderr
         assert "[built] .build/out.txt" in proc.stdout
 
+    @pytest.mark.parametrize("mode", [[], ["--hash"]])
+    def test_unwritable_store_only_warns(self, demo_project, tmp_path, mode):
+        state_dir = tmp_path / "build" / "state"
+        state_dir.rmdir()
+        state_dir.write_bytes(b"")  # a regular file: nothing can be made in it
+        proc = run_cli(demo_project, "make", "--offline", *mode)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        store = state_dir / "build-state.tsv"
+        assert [line for line in proc.stderr.splitlines() if str(store) in line] == \
+            [f"{store}: could not write the build state: [Errno 17] File exists: '{state_dir}'"]
+        assert (tmp_path / "build" / "tex" / "project.tex").is_file()
+
+    def test_unwritable_store_keeps_the_recipe_failure_exit_2(self, demo_project, tmp_path):
+        # The stages before the bottleneck are built and recorded, then
+        # its recipe fails.
+        with open(demo_project / "reproduce/analysis/make/verify.wf", "a") as wf:
+            wf.write("\texit 3\n")
+        state_dir = tmp_path / "build" / "state"
+        state_dir.rmdir()
+        state_dir.write_bytes(b"")
+        proc = run_cli(demo_project, "make", "--offline")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"{state_dir / 'build-state.tsv'}: could not write the build state" in proc.stderr
+
     def test_explicit_goal(self, demo_project):
         proc = run_cli(demo_project, "make", "--goal", ".build/demo/papers-formatted.txt",
                        "--log-json")

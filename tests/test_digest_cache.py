@@ -4,6 +4,7 @@ patched small, so that small files count as large."""
 
 from __future__ import annotations
 
+import logging
 import os
 import tempfile
 import time
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from lineage_forge import project, state
 from lineage_forge.errors import VerificationFailed
 from lineage_forge.executor import DIGEST
-from lineage_forge.state import STATE_RELPATH, BuildState, file_digest
+from lineage_forge.state import STATE_RELPATH, BuildState, file_digest, stat_key
 
 from oracles import whole_file_filtered_digest
 
@@ -192,6 +193,21 @@ class TestRacyRule:
         assert file_table(cache_file) == cache_line(path, oracle(path, None))
         assert recorded_tick(cache_file) > path.stat().st_ctime_ns
 
+    def test_racy_entry_is_not_carried_into_a_later_store(self, tmp_path, small_chunks):
+        """An entry the racy rule refused is dropped at load, so a save
+        with a newer tick, made for another entry, cannot trust it."""
+        racy, build = self.cached_with_wrong_digest(tmp_path)[0], tmp_path / "build"
+        other = tmp_path / "other.csv"
+        other.write_bytes(b"9876543210" * 10)
+        store = build / STATE_RELPATH
+        write_store(store, cache_line(racy, "0" * 64), racy.stat().st_ctime_ns)
+        cache = BuildState.load(build)
+        assert file_digest(other, cache=cache) == oracle(other, None)
+        wait_past([racy, other], tmp_path / "probe")
+        cache.save(build)
+        assert recorded_tick(store) > racy.stat().st_ctime_ns
+        assert file_digest(racy, cache=BuildState.load(build)) == oracle(racy, None)
+
     def test_moving_the_store_mtime_trusts_no_racy_entry(self, tmp_path):
         """A large file changed in (or after) the clock tick of the store
         that records it stays untrusted when the store's mtime is moved
@@ -236,10 +252,12 @@ class TestCacheFile:
         cache.save(tmp_path)
         assert not (tmp_path / STATE_RELPATH).exists()
 
-    def test_holds_exactly_the_entries_used(self, tmp_path, small_chunks):
+    def test_keeps_each_entry_until_its_file_is_hashed_again(self, tmp_path, small_chunks):
         paths = [tmp_path / f"f{i}.csv" for i in range(3)]
         for path in paths:
             path.write_bytes(path.name.encode() * 10)
+        probe = tmp_path / "probe"
+        wait_past(paths, probe)  # so that the store's tick trusts every entry
         cache = BuildState.load(tmp_path)
         for path in paths:
             file_digest(path, cache=cache)
@@ -252,18 +270,22 @@ class TestCacheFile:
         assert cache_file.stat().st_mode == plain.stat().st_mode
         assert sorted(os.listdir(cache_file.parent)) == ["build-state.tsv"]
 
-        wait_past(paths, tmp_path / "probe")
+        # A make that uses one entry keeps the others and writes nothing.
+        before = cache_file.stat().st_mtime_ns
         cache = BuildState.load(tmp_path)
         file_digest(paths[0], cache=cache)
         cache.save(tmp_path)
-        assert file_table(cache_file) == cache_line(paths[0], oracle(paths[0], None))
-
-        wait_past([cache_file], tmp_path / "probe")
-        cache = BuildState.load(tmp_path)
-        file_digest(paths[0], cache=cache)
-        before = cache_file.stat().st_mtime_ns
-        cache.save(tmp_path)  # nothing changed: the file is not written
         assert cache_file.stat().st_mtime_ns == before
+
+        # A file hashed with a new StatKey replaces its own entry only.
+        paths[1].write_bytes(b"changed" * 10)
+        wait_past(paths, probe)
+        cache = BuildState.load(tmp_path)
+        for path in paths:
+            file_digest(path, cache=cache)
+        cache.save(tmp_path)
+        assert file_table(cache_file) == b"".join(
+            sorted(cache_line(p, oracle(p, None)) for p in paths))
 
     @pytest.mark.parametrize("name", ["tab\there.csv", "line\nbreak.csv", "cr\rhere.csv"])
     def test_path_with_tab_or_line_break_is_never_written(self, tmp_path, small_chunks, name):
@@ -279,7 +301,7 @@ class TestCacheFile:
 
     @pytest.mark.parametrize("damage", ["missing", "directory", "binary", "short-digest",
                                         "bad-algorithm", "four-stat-fields"])
-    def test_unreadable_cache_only_rehashes(self, tmp_path, small_chunks, damage):
+    def test_unreadable_cache_only_rehashes(self, tmp_path, small_chunks, damage, caplog):
         path = tmp_path / "data.csv"
         path.write_bytes(b"0123456789" * 4)
         cache_file = tmp_path / "build" / STATE_RELPATH
@@ -301,8 +323,10 @@ class TestCacheFile:
         cache = BuildState.load(tmp_path / "build")
         assert file_digest(path, cache=cache) == oracle(path, None)
         if damage == "directory":
-            with pytest.raises(OSError):  # the store, unlike a cache, is not optional
-                cache.save(tmp_path / "build")
+            with caplog.at_level(logging.WARNING, logger="lineage_forge.state"):
+                cache.save(tmp_path / "build")  # a store that cannot be written only warns
+            assert [r.getMessage().startswith(f"{cache_file}: could not write the build state")
+                    for r in caplog.records] == [True]
             assert os.listdir(cache_file.parent) == ["build-state.tsv"]
         else:
             cache.save(tmp_path / "build")
@@ -357,13 +381,44 @@ class TestMakeUsesCacheVerifyDoesNot:
         assert not cache_file.exists()
 
     def test_make_with_a_directory_in_place_of_the_cache(self, demo_project, tmp_path,
-                                                         small_chunks):
-        # The store holds the records, so a make that cannot save it fails,
-        # once every target is built and verified.
-        (tmp_path / "build" / STATE_RELPATH).mkdir()
-        with pytest.raises(IsADirectoryError):
-            project.run_make(demo_project, mode=DIGEST, offline=True)
+                                                         small_chunks, caplog):
+        # A make that cannot save the store warns once, naming it, as it
+        # does for lineage.json; the next make rebuilds what it would
+        # have recorded.
+        store = tmp_path / "build" / STATE_RELPATH
+        store.mkdir()
+        with caplog.at_level(logging.WARNING, logger="lineage_forge"):
+            result = project.run_make(demo_project, mode=DIGEST, offline=True)
+        assert result.verification.ok and result.aggregate_path.is_file()
+        assert [r.getMessage().startswith(f"{store}: could not write the build state: ")
+                for r in caplog.records if str(store) in r.getMessage()] == [True]
         assert project.run_verify(demo_project).ok
+
+
+class TestModeSwitch:
+    def test_timestamp_make_keeps_what_a_hash_make_hashed(self, demo_project, tmp_path,
+                                                          small_chunks):
+        """`make`, `make --hash`, `make`, `make --hash`: the timestamp
+        no-op leaves the store as it was, so the last make hashes no
+        file again."""
+        store = tmp_path / "build" / STATE_RELPATH
+        remembered = []
+        remember = BuildState.remember
+
+        def counted(self, key, stat, digest):
+            remembered.append(key[0])
+            remember(self, key, stat, digest)
+
+        with mock.patch.object(BuildState, "remember", counted):
+            project.run_make(demo_project, offline=True)
+            wait_past([p for p in tmp_path.rglob("*") if p.is_file()], tmp_path / "probe")
+            project.run_make(demo_project, mode=DIGEST, offline=True)
+            before = store.read_bytes(), stat_key(store.stat())
+            project.run_make(demo_project, offline=True)
+            assert (store.read_bytes(), stat_key(store.stat())) == before
+            remembered.clear()
+            project.run_make(demo_project, mode=DIGEST, offline=True)
+        assert remembered == []
 
 
 class TestUpgrade:
