@@ -17,12 +17,11 @@ import os
 import selectors
 import shlex
 import subprocess
-import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Generator
+from typing import BinaryIO, Callable, Iterator
 
 from .errors import (
     MissingSource,
@@ -92,35 +91,32 @@ class ExecutionReport:
         return [e.target for e in self.executed]
 
 
-def run_recipe(rule: Rule, log: str) -> Generator[bytes, int, int]:
-    """Yield a rule's recipe lines one by one as worker commands, stopping
-    at the first failure.
+def run_recipe(rule: Rule, log: str) -> list[bytes]:
+    """A rule's recipe lines as worker commands, one per line, to be sent
+    one at a time and no further than the first that fails.
 
     Each command runs its line in a subshell of a worker shell (see
     `Worker`) with `-e`, so a multi-command line also aborts at its first
     failing command. `eval` keeps a syntax error inside the subshell, whose
     stdin is /dev/null and whose stdout and stderr append to the log at
     path `log`. The subshell's status is never tested inside the command,
-    since dash ignores `-e` in a subshell whose status is. The generator
-    must be sent each line's exit status before it yields the next; it
-    returns the last status (0 for no lines).
+    since dash ignores `-e` in a subshell whose status is. Every command is
+    built before any is sent, so a line with a NUL byte, which a shell
+    would drop and `sh -c <line>` refused, raises ValueError before the
+    recipe's first line runs.
     """
     redirect = f" </dev/null >>{shlex.quote(log)} 2>&1; echo $?\n"
-    status = 0
-    for line in rule.recipe:
-        command = os.fsencode(f"( set -e; eval {shlex.quote(line)} ){redirect}")
-        if b"\0" in command:  # a shell would drop it; `sh -c <line>` refused it
-            raise ValueError("embedded null byte")
-        status = yield command
-        if status != 0:
-            break
-    return status
+    commands = [os.fsencode(f"( set -e; eval {shlex.quote(line)} ){redirect}")
+                for line in rule.recipe]
+    if any(b"\0" in command for command in commands):
+        raise ValueError("embedded null byte")
+    return commands
 
 
 class Worker:
     """One job slot's long-lived shell, started from the policy's
     environment and working directory in `make`'s process group. It reads
-    the commands `run_recipe` yields from its stdin and answers each with
+    the commands `run_recipe` builds from its stdin and answers each with
     its status line on its stdout."""
 
     def __init__(self, env: EnvPolicy) -> None:
@@ -248,11 +244,8 @@ def stale_set(
     return stale
 
 
-def _open_log(build_dir: Path | None, target: str) -> BinaryIO:
-    """The target's log, `<build>/logs/<target>.log`, or a temporary file
-    deleted on close when there is no build directory."""
-    if build_dir is None:
-        return tempfile.NamedTemporaryFile()
+def _open_log(build_dir: Path, target: str) -> BinaryIO:
+    """The target's log, `<build>/logs/<target>.log`."""
     path = build_dir / "logs" / (target.removeprefix(".build/") + ".log")
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w+b")
@@ -275,7 +268,8 @@ def execute(
     state: BuildState,
     mode: str = TIMESTAMP,
     root: str | Path = ".",
-    build_dir: str | Path | None = None,
+    *,
+    build_dir: str | Path,
     on_event: Callable[[dict], None] | None = None,
     group_gid: int | None = None,
 ) -> ExecutionReport:
@@ -292,7 +286,7 @@ def execute(
         raise UsageError("jobs must be >= 1")
     prefix = os.path.join(root, "")
     # Absolute, since a worker's working directory is the policy's.
-    build_path = Path(build_dir).absolute() if build_dir else None
+    build_path = Path(build_dir).absolute()
 
     closure = ancestors(graph, goal)
     stale = stale_set(graph, goal, state, mode, root, closure=closure)
@@ -316,42 +310,39 @@ def execute(
     ready = [t for t, c in pending.items() if c == 0]
     heapq.heapify(ready)  # smallest ready target is started first
     failure: FailedTarget | None = None
-    failure_exc: Exception | None = None
-    # worker -> (target, steps, log, started) for each running line, whose
-    # worker's stdout is registered with `selector`; `done` holds targets
-    # whose recipe ended, in the order they ended. A target holds its
-    # slot until the loop has settled it, so at most `jobs` workers live.
-    running: dict[Worker, tuple[str, Generator, BinaryIO, float]] = {}
+    # worker -> (target, commands still to send, log, started) for each
+    # running line, whose worker's stdout is registered with `selector`;
+    # `done` holds targets whose recipe ended, in the order they ended. A
+    # target holds its slot until the loop has settled it, so at most
+    # `jobs` workers live: those in `idle` and those in `running`.
+    running: dict[Worker, tuple[str, Iterator[bytes], BinaryIO, float]] = {}
     done: deque[tuple[str, int, BinaryIO, float, float]] = deque()
-    workers: list[Worker] = []  # every live worker
     idle: list[Worker] = []
     selector = selectors.DefaultSelector()
 
-    def advance(target: str, steps: Generator, log: BinaryIO, started: float,
-                status: int | None) -> None:
-        """Send the target's next line to a worker, or queue the target as done."""
-        try:
-            command = steps.send(status)
-            if not idle:  # every live worker is busy
-                idle.append(Worker(env))
-                workers.append(idle[-1])
-        except StopIteration as stop:
-            done.append((target, stop.value, log, started, time.monotonic()))
-        except BaseException:
-            log.close()
-            raise
-        else:
-            worker = idle.pop()
-            worker.send(command)
-            running[worker] = (target, steps, log, started)
-            selector.register(worker.proc.stdout, selectors.EVENT_READ, worker)
+    def send(worker: Worker, command: bytes,
+             job: tuple[str, Iterator[bytes], BinaryIO, float]) -> None:
+        worker.send(command)
+        running[worker] = job
+        selector.register(worker.proc.stdout, selectors.EVENT_READ, worker)
 
     def fill() -> None:
         while ready and len(running) + len(done) < jobs and failure is None:
             target = heapq.heappop(ready)
             log = _open_log(build_path, target)
-            advance(target, run_recipe(graph.rules[target], log.name), log,
-                    time.monotonic(), None)
+            started = time.monotonic()
+            try:
+                commands = iter(run_recipe(graph.rules[target], log.name))
+                command = next(commands, None)
+                if command is not None:
+                    worker = idle.pop() if idle else Worker(env)
+            except BaseException:
+                log.close()
+                raise
+            if command is None:
+                done.append((target, 0, log, started, time.monotonic()))
+            else:
+                send(worker, command, (target, commands, log, started))
 
     try:
         fill()
@@ -361,11 +352,15 @@ def execute(
                     worker = key.data
                     selector.unregister(worker.proc.stdout)
                     status = worker.status()
+                    target, commands, log, started = job = running.pop(worker)
+                    # The next line goes to the worker that ran this one.
+                    command = next(commands, None) if status == 0 else None
+                    if command is not None:
+                        send(worker, command, job)
+                        continue
                     if worker.proc.returncode is None:
-                        idle.append(worker)
-                    else:  # it died; a later line gets a new worker
-                        workers.remove(worker)
-                    advance(*running.pop(worker), status)
+                        idle.append(worker)  # else it died; a later target gets a new one
+                    done.append((target, status, log, started, time.monotonic()))
                 continue
             target, status, log, started, finished = done.popleft()
             with log:
@@ -391,8 +386,6 @@ def execute(
                     tail = _output_tail(log)
                     failure = FailedTarget(target, status, tail,
                                            "recipe" if status else "not-produced")
-                    failure_exc = (RecipeFailed(target, status, tail) if status
-                                   else TargetNotProduced(target))
                 if status != 0 and os.path.exists(tpath):
                     os.rename(tpath, tpath + ".failed")
                 if on_event:
@@ -400,7 +393,7 @@ def execute(
     finally:
         # Whatever leaves the loop, no worker outlives it: each ends once
         # its running line, if any, is done.
-        for worker in workers:
+        for worker in [*idle, *running]:
             worker.close()
         selector.close()
         for _, _, log, _ in running.values():
@@ -410,9 +403,10 @@ def execute(
 
     report.failed = failure
     if failure is not None:
-        assert failure_exc is not None
-        failure_exc.report = report  # type: ignore[attr-defined]
-        raise failure_exc
+        exc = (RecipeFailed(failure.target, failure.status, failure.output_tail)
+               if failure.status else TargetNotProduced(failure.target))
+        exc.report = report  # type: ignore[attr-defined]
+        raise exc
     return report
 
 

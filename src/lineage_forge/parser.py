@@ -268,18 +268,17 @@ class LoadedFile:
     globs: list[tuple[str, list[str]]] = field(default_factory=list)
 
 
-def include_matches(pattern: str, root: str | Path,
-                    exclude: frozenset[str] = frozenset({VERIFY_MANIFEST})) -> list[str]:
+def include_matches(pattern: str, root: str | Path) -> list[str]:
     """The files an include pattern names: glob matches under `root`,
-    normalized, sorted lexicographically, without the paths in `exclude`."""
+    normalized, sorted lexicographically, without the verification
+    manifest, which is TSV, not DSL."""
     matches = (posixpath.normpath(m) for m in sorted(globmod.glob(pattern, root_dir=root)))
-    return [m for m in matches if m not in exclude]
+    return [m for m in matches if m != VERIFY_MANIFEST]
 
 
 def flatten_statements(
     entry: str,
     root: str | Path,
-    exclude: frozenset[str] = frozenset({VERIFY_MANIFEST}),
     cached: Mapping[str, tuple[ParsedFile, StatKey]] | None = None,
 ) -> tuple[list[LoadedFile], list[object]]:
     """Load `entry` and, depth-first and in order, everything it includes.
@@ -294,8 +293,7 @@ def flatten_statements(
     that is still being expanded is IncludeCycle. A pattern with zero
     matches is IncludeNotFound unless it was suffixed with `?`.
 
-    Paths in `exclude` (by default the verification manifest, which is
-    TSV, not DSL) are silently dropped from glob expansions.
+    The verification manifest is silently dropped from glob expansions.
 
     A file in `cached` is not opened: its statements and StatKey are
     taken from there, as the lineage cache recorded them. Every include
@@ -344,7 +342,7 @@ def flatten_statements(
             continue
         item = items.pop()
         if isinstance(item, IncludeDirective):
-            matches = include_matches(item.pattern, root, exclude)
+            matches = include_matches(item.pattern, root)
             current.globs.append((item.pattern, matches))
             if not matches and not item.optional:
                 raise IncludeNotFound(item.pattern, str(item.origin))
@@ -381,13 +379,15 @@ def references(text: str) -> set[str]:
 def expand(
     template: str,
     env: dict[str, str],
-    rule_ctx: Rule | None = None,
+    rule_ctx: tuple[str, tuple[str, ...]] | None = None,
     origin: str = "?",
     _depth: int = 0,
 ) -> str:
     """Expand `$(NAME)`, `$$` and (inside recipes) `$@`, `$<`, `$^`.
 
-    Variable values are themselves expanded, up to 16 levels deep.
+    Inside a recipe, `rule_ctx` is the rule's target and prerequisites,
+    which the automatic variables name. Variable values are themselves
+    expanded, up to 16 levels deep.
     """
     if _depth > MAX_EXPANSION_DEPTH:
         raise ExpansionDepthExceeded(template, MAX_EXPANSION_DEPTH)
@@ -403,11 +403,12 @@ def expand(
         if automatic:
             if rule_ctx is None:
                 return match.group()
+            target, prereqs = rule_ctx
             if automatic == "@":
-                return rule_ctx.target
+                return target
             if automatic == "<":
-                return rule_ctx.prerequisites[0] if rule_ctx.prerequisites else ""
-            return " ".join(rule_ctx.prerequisites)
+                return prereqs[0] if prereqs else ""
+            return " ".join(prereqs)
         if not IDENT_RE.fullmatch(name) or name not in env:
             raise UndefinedVariable(name, origin)
         return expand(env[name], env, rule_ctx, origin, _depth + 1)
@@ -416,52 +417,38 @@ def expand(
 
 
 def instantiate_rules(
-    statements: list[object],
+    templates: list[RuleTemplate],
     env: dict[str, str],
-) -> list[Rule]:
-    """Expand and split rule templates into concrete single-target rules.
+) -> list[list[Rule]]:
+    """Expand and split each rule template into concrete single-target
+    rules, one list per template.
 
     Target and prerequisite fields are expanded, whitespace-split and
     path-normalized; a template whose target text expands to several
     tokens yields one rule per token (all sharing prerequisites and
-    recipe). Recipes are expanded against the rule they belong to, so
-    `$@`/`$<`/`$^` resolve per target.
+    recipe). Recipes are expanded per target, so `$@`/`$<`/`$^` resolve
+    to that target and the template's prerequisites.
     """
-    rules: list[Rule] = []
-    for item in statements:
-        if not isinstance(item, RuleTemplate):
-            continue
+    out: list[list[Rule]] = []
+    for item in templates:
         origin = item.origin
-        targets = expand(item.target_text, env, None, str(origin)).split()
+        where = str(origin)
+        targets = expand(item.target_text, env, None, where).split()
         if not targets:
             raise DslSyntaxError(origin.path, origin.line, "rule target expands to nothing")
-        prereqs = tuple(
-            normalize_path(p, origin)
-            for p in expand(item.prereq_text, env, None, str(origin)).split()
-        )
+        prereqs = tuple(normalize_path(p, origin)
+                        for p in expand(item.prereq_text, env, None, where).split())
+        rules = []
         for target in targets:
-            skeleton = Rule(
-                target=normalize_path(target, origin),
-                prerequisites=prereqs,
-                recipe=(),
-                origin=origin,
-            )
-            recipe = tuple(
-                expand(line, env, skeleton, str(origin)) for line in item.recipe
-            )
-            rules.append(
-                Rule(
-                    target=skeleton.target,
-                    prerequisites=prereqs,
-                    recipe=recipe,
-                    origin=origin,
-                )
-            )
-    return rules
+            target = normalize_path(target, origin)
+            recipe = tuple(expand(line, env, (target, prereqs), where) for line in item.recipe)
+            rules.append(Rule(target, prereqs, recipe, origin))
+        out.append(rules)
+    return out
 
 
-_SUFFIX_ALGOS = ("MD5", "SHA256", "SHA512")
-_SUFFIX_OTHER = ("SIZE", "URL")
+# An input's keys: `NAME` for its filename, and `NAME-<suffix>` for the rest.
+_INPUT_KEY_RE = re.compile(r"(.*)-(MD5|SHA256|SHA512|SIZE|URL)")
 
 
 def parse_inputs_manifest(params: list[ConfigParam]) -> list[InputSpec]:
@@ -469,54 +456,30 @@ def parse_inputs_manifest(params: list[ConfigParam]) -> list[InputSpec]:
 
     Convention: `NAME = filename`, `NAME-MD5|SHA256|SHA512 = digest`
     (exactly one), `NAME-SIZE = hint` (optional), `NAME-URL = url`.
+    Keys are unique: the caller keeps each key's last assignment.
     """
-    base: dict[str, str] = {}
-    digests: dict[str, list[tuple[str, str]]] = {}
-    sizes: dict[str, str] = {}
-    urls: dict[str, str] = {}
-    order: list[str] = []
-
-    def note(name: str) -> None:
-        if name not in order:
-            order.append(name)
-
+    # Per input, in the order first named, its values by suffix ("" for
+    # the filename).
+    inputs: dict[str, dict[str, str]] = {}
     for param in params:
-        matched = False
-        for algo in _SUFFIX_ALGOS:
-            if param.key.endswith(f"-{algo}"):
-                name = param.key[: -len(algo) - 1]
-                digests.setdefault(name, []).append((algo.lower(), param.value))
-                note(name)
-                matched = True
-                break
-        if matched:
-            continue
-        if param.key.endswith("-SIZE"):
-            name = param.key[:-5]
-            sizes[name] = param.value
-            note(name)
-        elif param.key.endswith("-URL"):
-            name = param.key[:-4]
-            urls[name] = param.value
-            note(name)
-        else:
-            base[param.key] = param.value
-            note(param.key)
+        match = _INPUT_KEY_RE.fullmatch(param.key)
+        name, suffix = match.groups() if match else (param.key, "")
+        inputs.setdefault(name, {})[suffix] = param.value
 
     specs: list[InputSpec] = []
-    for name in order:
-        if name not in base:
+    for name, values in inputs.items():
+        if "" not in values:
             raise MissingFilename(name)
-        filename = base[name]
+        filename = values[""]
         if "/" in filename or "\\" in filename:
             raise InputError(f"input '{name}': filename {filename!r} contains a path separator")
-        entries = digests.get(name, [])
-        if not entries:
+        algorithms = [suffix.lower() for suffix in values if suffix.lower() in DIGEST_LENGTHS]
+        if not algorithms:
             raise MissingDigest(name)
-        if len(entries) > 1:
-            raise AmbiguousDigest(name, [a for a, _ in entries])
-        algorithm, digest = entries[0]
-        digest = digest.lower()
+        if len(algorithms) > 1:
+            raise AmbiguousDigest(name, algorithms)
+        algorithm = algorithms[0]
+        digest = values[algorithm.upper()].lower()
         if not _HEX_RE.fullmatch(digest):
             raise MalformedDigest(name, f"digest is not hexadecimal: {digest!r}")
         if not is_digest(digest, algorithm):
@@ -525,7 +488,7 @@ def parse_inputs_manifest(params: list[ConfigParam]) -> list[InputSpec]:
                 f"{algorithm} digest must be {DIGEST_LENGTHS[algorithm]} hex chars, "
                 f"got {len(digest)}",
             )
-        if name not in urls:
+        if "URL" not in values:
             raise MissingURL(name)
         specs.append(
             InputSpec(
@@ -533,8 +496,8 @@ def parse_inputs_manifest(params: list[ConfigParam]) -> list[InputSpec]:
                 filename=filename,
                 algorithm=algorithm,
                 digest=digest,
-                url=urls[name],
-                size_hint=sizes.get(name),
+                url=values["URL"],
+                size_hint=values.get("SIZE"),
             )
         )
     specs.sort(key=lambda s: s.name)

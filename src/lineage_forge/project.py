@@ -10,9 +10,7 @@ rule paths stay relative and the project stays relocatable.
 from __future__ import annotations
 
 import grp
-import itertools
 import logging
-import operator
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -153,12 +151,11 @@ class LocalConfig:
 
 @dataclass
 class Project:
-    """A parsed project: statements, environment, rules and graph."""
+    """A parsed project: environment, graph, goal, stages and inputs."""
 
     root: Path
     entry: str
     env: dict[str, str]
-    rules: list[Rule]
     graph: LineageGraph
     goal: str
     stages: list[str] = field(default_factory=list)
@@ -185,9 +182,7 @@ class Project:
             if templates is None:  # a file changed after its record was trusted
                 return cls.load(root, entry)
         todo = [t for t in templates if type(t) is RuleTemplate]
-        # Each template expands to one or more rules, all with its origin.
-        new = [list(group) for _origin, group in
-               itertools.groupby(instantiate_rules(todo, env), operator.attrgetter("origin"))]
+        new = instantiate_rules(todo, env)
         fresh = iter(new)
         all_rules: list[Rule] = []
         for t in templates:
@@ -217,7 +212,6 @@ class Project:
             root=root,
             entry=entry,
             env=env,
-            rules=rules,
             graph=graph,
             goal=goal,
             stages=_stages(entry, [f.path for f in files]),

@@ -13,7 +13,6 @@ import re
 from pathlib import Path
 
 from lineage_forge.errors import ExpansionDepthExceeded, UndefinedVariable
-from lineage_forge.graph import Rule
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 MAX_EXPANSION_DEPTH = 16
@@ -187,11 +186,12 @@ def whole_file_filtered_digest(data: bytes, prefix: bytes | None, algorithm: str
 def reference_expand(
     template: str,
     env: dict[str, str],
-    rule_ctx: Rule | None = None,
+    rule_ctx: tuple[str, tuple[str, ...]] | None = None,
     origin: str = "?",
     _depth: int = 0,
 ) -> str:
-    """Expand `$(NAME)`, `$$` and (inside recipes) `$@`, `$<`, `$^`.
+    """Expand `$(NAME)`, `$$` and (inside recipes, whose target and
+    prerequisites `rule_ctx` holds) `$@`, `$<`, `$^`.
 
     Variable values are themselves expanded, up to 16 levels deep. This
     is the engine's original expander, one character at a time, kept as
@@ -228,12 +228,13 @@ def reference_expand(
             out.append(reference_expand(env[name], env, rule_ctx, origin, _depth + 1))
             i = end + 1
         elif nxt in "@<^" and rule_ctx is not None:
+            target, prereqs = rule_ctx
             if nxt == "@":
-                out.append(rule_ctx.target)
+                out.append(target)
             elif nxt == "<":
-                out.append(rule_ctx.prerequisites[0] if rule_ctx.prerequisites else "")
+                out.append(prereqs[0] if prereqs else "")
             else:
-                out.append(" ".join(rule_ctx.prerequisites))
+                out.append(" ".join(prereqs))
             i += 2
         else:
             # Unrecognized escape: pass the '$' through literally.

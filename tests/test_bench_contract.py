@@ -66,6 +66,26 @@ def test_every_wrapped_span_fires(tmp_path):
     assert sorted({name for _, _, name, _ in TRACING_MODULE.WRAPS} - recorded) == []
 
 
+def test_run_recipe_fires_once_per_executed_target(tmp_path):
+    # perfbench checks its recipe count against the oracle's target count,
+    # so a recipe of several lines must still be one `run_recipe` call.
+    root = tmp_path / "proj"
+    create_demo_project(root)
+    init_repo(root)
+    project.configure(root, tmp_path / "build", input_dir="data")
+    rules = project.Project.load(root).graph.rules.values()
+    assert any(len(r.recipe) > 1 for r in rules if r.origin.path.endswith("/download.wf"))
+    tracer = TRACING_MODULE.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("make")
+        result = project.run_make(root, offline=True)
+    finally:
+        tracer.uninstall()
+    fired = [span for span in tracer.spans if span.name == "executor.run_recipe"]
+    assert len(fired) == len(result.report.executed) > 0
+
+
 def test_second_make_parses_nothing(tmp_path):
     root = tmp_path / "proj"
     create_demo_project(root)

@@ -59,17 +59,16 @@ def set_mtime(root: Path, name: str, ns: int) -> None:
 
 
 def drive(rule: Rule, worker: Worker) -> tuple[int, bytes]:
-    """Drive `run_recipe` to its end in `worker`, waiting for each line in
-    turn; returns the last status and everything the lines wrote."""
+    """Send `run_recipe`'s commands to `worker` one at a time, waiting for
+    each line and stopping at the first that fails; returns the last
+    status (0 for no lines) and everything the lines wrote."""
     with tempfile.NamedTemporaryFile() as log:
-        steps = run_recipe(rule, log.name)
-        status = None
-        try:
-            while True:
-                worker.send(steps.send(status))
-                status = worker.status()
-        except StopIteration as stop:
-            status = stop.value
+        status = 0
+        for command in run_recipe(rule, log.name):
+            worker.send(command)
+            status = worker.status()
+            if status != 0:
+                break
         log.seek(0)
         return status, log.read()
 
@@ -118,6 +117,13 @@ class TestRunRecipe:
         bad = EnvPolicy(fixed={}, workdir=str(tmp_path), shell="/no/such/shell")
         with pytest.raises(ShellNotFound):
             run_lines(R("t", recipe=("true",)), bad)
+
+    def test_nul_byte_in_a_later_line_runs_no_line(self, tmp_path):
+        rules = [R("t", recipe=("touch first", "echo a\0b"))]
+        with pytest.raises(ValueError):
+            execute(build_graph(rules), "t", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
+        assert not (tmp_path / "first").exists()
 
 
 class TestStaleSet:
@@ -301,7 +307,8 @@ class TestDeepChain:
             write(tmp_path, node)
             set_mtime(tmp_path, node, 1_000_000_000_000_000_000)
         assert stale_set(graph, "n00000", BuildState(), TIMESTAMP, tmp_path) == set()
-        report = execute(graph, "n00000", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        report = execute(graph, "n00000", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert report.executed == []
         assert len(report.skipped_fresh) == 5000
 
@@ -319,25 +326,29 @@ class TestExecute:
     def test_builds_everything_then_nothing(self, tmp_path):
         graph = self.diamond(tmp_path)
         state = BuildState()
-        report = execute(graph, "goal", 1, policy(tmp_path), state, root=tmp_path)
+        report = execute(graph, "goal", 1, policy(tmp_path), state, root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert sorted(report.executed_targets()) == ["goal", "left", "right"]
-        again = execute(graph, "goal", 1, policy(tmp_path), state, root=tmp_path)
+        again = execute(graph, "goal", 1, policy(tmp_path), state, root=tmp_path,
+                        build_dir=tmp_path / "bd")
         assert again.executed == []
         assert sorted(again.skipped_fresh) == ["goal", "left", "right"]
 
     def test_idempotence_in_digest_mode(self, tmp_path):
         graph = self.diamond(tmp_path)
         state = BuildState()
-        execute(graph, "goal", 2, policy(tmp_path), state, mode=DIGEST, root=tmp_path)
+        execute(graph, "goal", 2, policy(tmp_path), state, mode=DIGEST, root=tmp_path,
+                build_dir=tmp_path / "bd")
         again = execute(graph, "goal", 2, policy(tmp_path), state, mode=DIGEST,
-                        root=tmp_path)
+                        root=tmp_path, build_dir=tmp_path / "bd")
         assert again.executed == []
 
     def test_empty_stale_set_report(self, tmp_path):
         graph = self.diamond(tmp_path)
         state = BuildState()
-        execute(graph, "goal", 1, policy(tmp_path), state, root=tmp_path)
-        report = execute(graph, "goal", 4, policy(tmp_path), state, root=tmp_path)
+        execute(graph, "goal", 1, policy(tmp_path), state, root=tmp_path, build_dir=tmp_path / "bd")
+        report = execute(graph, "goal", 4, policy(tmp_path), state, root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert report.executed == [] and report.failed is None
 
     def test_recipe_failure_halts_descendants(self, tmp_path):
@@ -348,7 +359,8 @@ class TestExecute:
         write(tmp_path, "src")
         graph = build_graph(rules)
         with pytest.raises(RecipeFailed) as exc:
-            execute(graph, "after", 1, policy(tmp_path), BuildState(), root=tmp_path)
+            execute(graph, "after", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
         assert exc.value.status == 3
         assert exc.value.target == "bad"
         report = exc.value.report
@@ -361,7 +373,8 @@ class TestExecute:
         write(tmp_path, "src")
         graph = build_graph(rules)
         with pytest.raises(RecipeFailed):
-            execute(graph, "part", 1, policy(tmp_path), BuildState(), root=tmp_path)
+            execute(graph, "part", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
         assert not (tmp_path / "part").exists()
         assert (tmp_path / "part.failed").read_text() == "partial\n"
 
@@ -370,7 +383,8 @@ class TestExecute:
         write(tmp_path, "src")
         graph = build_graph(rules)
         with pytest.raises(TargetNotProduced):
-            execute(graph, "ghost", 1, policy(tmp_path), BuildState(), root=tmp_path)
+            execute(graph, "ghost", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
 
     def test_jobs_one_vs_eight_identical_outputs(self, tmp_path):
         def run(jobs: int, sub: str) -> dict[str, str]:
@@ -385,7 +399,8 @@ class TestExecute:
             ]
             write(root, "src", "fixed input\n")
             graph = build_graph(rules)
-            execute(graph, "goal", jobs, policy(root), BuildState(), root=root)
+            execute(graph, "goal", jobs, policy(root), BuildState(), root=root,
+                    build_dir=root / "bd")
             return {t: file_digest(root / t) for t in graph.rules}
 
         assert run(1, "serial") == run(8, "parallel")
@@ -404,7 +419,8 @@ class TestExecute:
             root.mkdir()
             write(root, names[0], "seed\n")
             state = BuildState()
-            report = execute(graph, names[-1], jobs, policy(root), state, root=root)
+            report = execute(graph, names[-1], jobs, policy(root), state, root=root,
+                             build_dir=root / "bd")
             # every built node in the goal's closure was missing, so the
             # executed set must equal exactly that closure
             closure_built = {
@@ -430,14 +446,15 @@ class TestExecute:
     def test_state_round_trip(self, tmp_path):
         graph = self.diamond(tmp_path)
         state = BuildState()
-        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path)
+        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path,
+                build_dir=tmp_path / "bd")
         state.save(tmp_path / "bd")
         loaded = BuildState.load(tmp_path / "bd")
         assert loaded.records.keys() == state.records.keys()
         for target, rec in state.records.items():
             assert loaded.records[target] == rec
         report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
-                         root=tmp_path)
+                         root=tmp_path, build_dir=tmp_path / "bd")
         assert report.executed == []
 
     def test_missing_prerequisite_recorded_empty_stays_stale_under_hash(self, tmp_path):
@@ -447,7 +464,8 @@ class TestExecute:
         write(tmp_path, "src")
         graph = build_graph([R("mid", ["src"]), R("goal", ["mid"], ("cp mid goal", "mv mid away"))])
         state = BuildState()
-        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path)
+        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path,
+                build_dir=tmp_path / "bd")
         record = state.records["goal"]
         assert (record.target_digest, record.prereq_digests) == (
             file_digest(tmp_path / "goal"), ("",))
@@ -457,21 +475,22 @@ class TestExecute:
         (tmp_path / "away").rename(tmp_path / "mid")  # `mid` is fresh again
         for _ in range(2):
             report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
-                             root=tmp_path)
+                             root=tmp_path, build_dir=tmp_path / "bd")
             assert report.executed_targets() == ["goal"]
             (tmp_path / "away").rename(tmp_path / "mid")
 
     def test_state_saved_only_when_changed(self, tmp_path):
         graph = self.diamond(tmp_path)
         state = BuildState()
-        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path)
+        execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path,
+                build_dir=tmp_path / "bd")
         state.save(tmp_path / "bd")
         state_file = tmp_path / "bd" / STATE_RELPATH
         unsorted = b"".join(reversed(state_file.read_bytes().splitlines(keepends=True)))
         state_file.write_bytes(unsorted)  # a save would sort it
         loaded = BuildState.load(tmp_path / "bd")
         report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
-                         root=tmp_path)
+                         root=tmp_path, build_dir=tmp_path / "bd")
         assert report.executed == []
         loaded.save(tmp_path / "bd")
         assert state_file.read_bytes() == unsorted
@@ -484,15 +503,18 @@ class TestExecute:
         calls = []
         monkeypatch.setattr(executor_module, "ancestors",
                             lambda *args: calls.append(args) or ancestors(*args))
-        report = execute(graph, "goal", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        report = execute(graph, "goal", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert len(report.executed) == 3 and len(calls) == 1
-        report = execute(graph, "goal", 1, policy(tmp_path), BuildState(), root=tmp_path)
+        report = execute(graph, "goal", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert report.skipped_fresh == ["goal", "left", "right"] and len(calls) == 2
 
     def test_jobs_must_be_positive(self, tmp_path):
         graph = self.diamond(tmp_path)
         with pytest.raises(UsageError):
-            execute(graph, "goal", 0, policy(tmp_path), BuildState(), root=tmp_path)
+            execute(graph, "goal", 0, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
 
     def test_minimality_after_single_source_change(self, tmp_path):
         # touching exactly one source re-executes exactly its descendants
@@ -510,13 +532,13 @@ class TestExecute:
             write(root, names[0], "seed\n")
             goal = names[-1]
             state = BuildState()
-            execute(graph, goal, 2, policy(root), state, root=root)
+            execute(graph, goal, 2, policy(root), state, root=root, build_dir=root / "bd")
 
             victim = rng.choice(sorted(ancestors(graph, goal)))
             time_base = (root / goal).stat().st_mtime_ns
             os.utime(root / victim, ns=(time_base + 10**9, time_base + 10**9))
 
-            report = execute(graph, goal, 2, policy(root), state, root=root)
+            report = execute(graph, goal, 2, policy(root), state, root=root, build_dir=root / "bd")
             expected = descendants(graph, victim) & ancestors(graph, goal)
             assert set(report.executed_targets()) == expected
 
@@ -539,7 +561,7 @@ class TestWaitLoop:
                 f"mkdir live/{name}; {wait}ls live | wc -l > {name}; rmdir live/{name}",)))
         rules.append(R("goal", names))
         report = execute(build_graph(rules), "goal", jobs, policy(tmp_path), BuildState(),
-                         root=tmp_path)
+                         root=tmp_path, build_dir=tmp_path / "bd")
         assert len(report.executed) == len(names) + 1
         counts = [int((tmp_path / name).read_text()) for name in names]
         assert max(counts) == jobs
@@ -558,7 +580,7 @@ class TestWaitLoop:
         rules = [R("out", recipe=("printf '\\377\\r\\nok\\n'; exit 3",))]
         with pytest.raises(RecipeFailed) as exc:
             execute(build_graph(rules), "out", 1, policy(tmp_path), BuildState(),
-                    root=tmp_path)
+                    root=tmp_path, build_dir=tmp_path / "bd")
         assert exc.value.status == 3
         assert exc.value.output_tail == "\ufffd\r\nok\n"
 
@@ -566,7 +588,7 @@ class TestWaitLoop:
         rules = [R("out", recipe=("printf 'x%.0s' $(seq 5000); printf '\\303\\251nd'; exit 1",))]
         with pytest.raises(RecipeFailed) as exc:
             execute(build_graph(rules), "out", 1, policy(tmp_path), BuildState(),
-                    root=tmp_path)
+                    root=tmp_path, build_dir=tmp_path / "bd")
         assert exc.value.output_tail == "x" * 1997 + "\u00e9nd"
 
     def test_shell_not_found_mid_build_leaves_no_child(self, tmp_path):
@@ -584,7 +606,8 @@ class TestWaitLoop:
             R("goal", ["x", "y"]),
         ]
         with pytest.raises(ShellNotFound):
-            execute(build_graph(rules), "goal", 2, env, BuildState(), root=tmp_path)
+            execute(build_graph(rules), "goal", 2, env, BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
         assert (tmp_path / "x").exists() and not (tmp_path / "y").exists()
         [pid] = {int((tmp_path / name).read_text()) for name in ("a.pid", "x.pid")}
         with pytest.raises(ProcessLookupError):  # reaped, not a zombie
@@ -665,7 +688,8 @@ class TestWorkerSemantics:
         # as starting `sh -c <line>` refused it.
         rules = [R("n", recipe=("touch n; echo a\0b",))]
         with pytest.raises(ValueError):
-            execute(build_graph(rules), "n", 1, policy(tmp_path), BuildState(), root=tmp_path)
+            execute(build_graph(rules), "n", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=tmp_path / "bd")
         assert not (tmp_path / "n").exists()
 
     def test_killing_the_worker_fails_the_target(self, tmp_path):
@@ -674,9 +698,11 @@ class TestWorkerSemantics:
         graph = build_graph(rules)
         state = BuildState()
         with pytest.raises(RecipeFailed) as exc:
-            execute(graph, "k", 1, policy(tmp_path), state, root=tmp_path)
+            execute(graph, "k", 1, policy(tmp_path), state, root=tmp_path,
+                    build_dir=tmp_path / "bd")
         assert exc.value.status == -15
-        report = execute(graph, "k", 1, policy(tmp_path), state, root=tmp_path)
+        report = execute(graph, "k", 1, policy(tmp_path), state, root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert report.executed_targets() == ["k"]
 
 
@@ -701,9 +727,11 @@ class TestSpawnCount:
         rules.append(R("goal", [r.target for r in rules]))
         graph = build_graph(rules)
         state = BuildState()
-        report = execute(graph, "goal", jobs, policy(tmp_path), state, root=tmp_path)
+        report = execute(graph, "goal", jobs, policy(tmp_path), state, root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert len(report.executed) == 30
         assert 1 <= len(spawned) <= jobs
         spawned.clear()
-        report = execute(graph, "goal", jobs, policy(tmp_path), state, root=tmp_path)
+        report = execute(graph, "goal", jobs, policy(tmp_path), state, root=tmp_path,
+                         build_dir=tmp_path / "bd")
         assert report.executed == [] and spawned == []

@@ -96,9 +96,10 @@ def outcome(root: Path, build_dir: Path | None = None):
         p = Project.load(root, build_dir=build_dir)
     except Exception as exc:  # compared by type and message
         return ("error", type(exc).__name__, str(exc))
-    first = [VIEWS[i % 3](r) for i, r in enumerate(p.rules)]
-    then = [tuple(view(r) for view in VIEWS) for r in p.rules]
-    return (p.rules, list(p.graph.nodes.items()), p.graph.order, list(p.graph.rules.items()),
+    rules = list(p.graph.rules.values())
+    first = [VIEWS[i % 3](r) for i, r in enumerate(rules)]
+    then = [tuple(view(r) for view in VIEWS) for r in rules]
+    return (rules, list(p.graph.nodes.items()), p.graph.order, list(p.graph.rules.items()),
             list(p.env.items()), p.stages, p.input_specs, first, then, p.goal)
 
 
@@ -825,7 +826,8 @@ class TestLazyRules:
         wait_past(root, build.parent / "probe")
         outcome(root, build)
         assert reused(root, build)
-        for rule in (Project.load(root, build_dir=build).rules[0], Project.load(root).rules[0]):
+        for p in (Project.load(root, build_dir=build), Project.load(root)):
+            rule = next(iter(p.graph.rules.values()))
             for name in ("target", "prerequisites", "recipe", "origin"):
                 with pytest.raises(AttributeError):
                     setattr(rule, name, getattr(rule, name))
@@ -854,7 +856,7 @@ class TestLazyRules:
         assert set(LineageCache.load(build, root, DEFAULT_ENTRY).records) == trusted - {rel}
         # Its rules are parsed again, so each recipe that now runs is the
         # file's own.
-        targets = {r.target for r in Project.load(root).rules if r.origin.path == rel}
+        targets = {t for t, r in Project.load(root).graph.rules.items() if r.origin.path == rel}
         for target in targets:
             (root / target).unlink()
         parsed = []

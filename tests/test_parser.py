@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lineage_forge import parser as parser_module
 from lineage_forge.errors import (
     AmbiguousDigest,
     DslSyntaxError,
@@ -217,8 +218,9 @@ class TestResolveIncludes:
         assert first == second
 
 
-def make_rule(target="t", prereqs=("a", "b")) -> Rule:
-    return Rule(target, tuple(prereqs), (), Origin("f.wf", 1))
+def recipe_ctx(target="t", prereqs=("a", "b")) -> tuple[str, tuple[str, ...]]:
+    """What a recipe's automatic variables name: its target and prerequisites."""
+    return target, tuple(prereqs)
 
 
 # Templates weighted toward the characters expansion reacts to; values
@@ -239,12 +241,12 @@ class TestExpand:
         assert expand("$$HOME", {}) == "$HOME"
 
     def test_automatic_variables(self):
-        rule = make_rule()
+        rule = recipe_ctx()
         assert expand("cp $< $@", {}, rule) == "cp a t"
         assert expand("join $^", {}, rule) == "join a b"
 
     def test_first_prereq_of_none_is_empty(self):
-        rule = make_rule(prereqs=())
+        rule = recipe_ctx(prereqs=())
         assert expand("x $< y", {}, rule) == "x  y"
 
     def test_matches_reference_make_implementation(self, tmp_path):
@@ -259,7 +261,7 @@ class TestExpand:
             ["make", "-s", "t"], cwd=tmp_path, stdout=subprocess.PIPE, text=True
         )
         assert proc.returncode == 0
-        assert expand("cp $< $@", {}, make_rule()) == proc.stdout.strip()
+        assert expand("cp $< $@", {}, recipe_ctx()) == proc.stdout.strip()
 
     def test_undefined_variable(self):
         with pytest.raises(UndefinedVariable):
@@ -304,7 +306,7 @@ class TestExpand:
     @given(
         template=EXPAND_TEMPLATES,
         env=st.dictionaries(st.sampled_from(EXPAND_NAMES), EXPAND_TEMPLATES, max_size=4),
-        rule_ctx=st.sampled_from([None, make_rule(), make_rule(prereqs=())]),
+        rule_ctx=st.sampled_from([None, recipe_ctx(), recipe_ctx(prereqs=())]),
     )
     @settings(max_examples=600, deadline=None)
     def test_matches_reference_expander(self, template, env, rule_ctx):
@@ -320,7 +322,7 @@ class TestExpand:
 class TestInstantiateRules:
     def test_multi_target_line_yields_independent_rules(self):
         template = RuleTemplate("a b", "src", ("touch $@",), Origin("f.wf", 1))
-        rules = instantiate_rules([template], {})
+        [rules] = instantiate_rules([template], {})
         assert [r.target for r in rules] == ["a", "b"]
         assert rules[0].recipe == ("touch a",)
         assert rules[1].recipe == ("touch b",)
@@ -330,9 +332,32 @@ class TestInstantiateRules:
         template = RuleTemplate(
             "$(BDIR)/out.txt", "$(BDIR)/in.txt", ("cp $< $@",), Origin("f.wf", 3)
         )
-        [rule] = instantiate_rules([template], {"BDIR": ".build"})
+        [[rule]] = instantiate_rules([template], {"BDIR": ".build"})
         assert rule.target == ".build/out.txt"
         assert rule.recipe == ("cp .build/in.txt .build/out.txt",)
+
+    def test_one_list_per_template_in_order(self):
+        templates = [RuleTemplate("x y", "", (), Origin("f.wf", 1)),
+                     RuleTemplate("z", "x", (), Origin("f.wf", 2))]
+        assert [[r.target for r in rules] for rules in instantiate_rules(templates, {})] \
+            == [["x", "y"], ["z"]]
+
+    def test_each_rule_is_built_once(self, monkeypatch):
+        built = []
+
+        class Counted(Rule):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(parser_module, "Rule", Counted)
+        template = RuleTemplate("a b ./c", "p q", ("cp $< $@", "cat $^ > $@"), Origin("f.wf", 1))
+        expanded = instantiate_rules([template], {})
+        assert [r.target for r in built] == ["a", "b", "c"]
+        assert expanded == [built]
+        assert [r.recipe for r in built] == [(f"cp p {t}", f"cat p q > {t}") for t in "abc"]
 
 
 class TestFlattenStatements:

@@ -59,8 +59,7 @@ def build_state_case(tmp_path):
 
 
 def file_table_case(tmp_path):
-    # The file table alone: the digests of large files, which a separate
-    # DigestCache wrote to digests.tsv before build-state.tsv absorbed it.
+    # The store's file table alone: the digests of large files.
     state = BuildState()
     state.remember((str(tmp_path / "big.csv"), "sha256", None), (1, 2, 3, 4, 5), "ab" * 32)
     return tmp_path / STATE_RELPATH, lambda: state.save(tmp_path)
@@ -101,12 +100,12 @@ WRITERS = {
     "run_record": run_record_case,
     "_aggregate_stage": aggregate_case,
     "_emit_bibliography": bibliography_case,
-    "DigestCache.save": file_table_case,
+    "BuildState.save:file_table": file_table_case,
     "LineageCache.save": lineage_cache_case,
 }
 
 # The writers whose failed write costs a warning, not an error.
-LOGGED = {"BuildState.save", "DigestCache.save", "LineageCache.save"}
+LOGGED = {"BuildState.save", "BuildState.save:file_table", "LineageCache.save"}
 
 
 @pytest.mark.parametrize("fault", ["interrupted-fill", "refused-rename"])
