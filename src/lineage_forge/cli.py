@@ -119,8 +119,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--offline", action="store_true", help="fail rather than touch the network")
     p.add_argument("--insecure", action="store_true",
                    help="skip TLS certificate verification for downloads (logged loudly)")
-    p.add_argument("--serial-verify", action="store_true",
-                   help="on verification failure after a parallel build, rebuild serially and re-verify")
     p.add_argument("--goal",
                    help="build this target instead of the project goal "
                         "(skips verification and macro aggregation)")
@@ -184,7 +182,6 @@ def _cmd_make(root: Path, args) -> int:
         jobs=args.jobs,
         mode=DIGEST if args.hash else TIMESTAMP,
         offline=args.offline,
-        serial_verify=args.serial_verify,
         goal=args.goal,
         insecure=args.insecure,
         on_event=emitter.event,

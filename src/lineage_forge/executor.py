@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterator
 
 from .errors import (
+    DslSyntaxError,
     MissingSource,
     RecipeFailed,
     ShellNotFound,
@@ -100,17 +101,18 @@ def run_recipe(rule: Rule, log: str) -> list[bytes]:
     failing command. `eval` keeps a syntax error inside the subshell, whose
     stdin is /dev/null and whose stdout and stderr append to the log at
     path `log`. The subshell's status is never tested inside the command,
-    since dash ignores `-e` in a subshell whose status is. Every command is
-    built before any is sent, so a line with a NUL byte, which a shell
-    would drop and `sh -c <line>` refused, raises ValueError before the
-    recipe's first line runs.
+    since dash ignores `-e` in a subshell whose status is. A line with a
+    NUL byte, which a shell would drop and `sh -c <line>` refused, raises
+    DslSyntaxError, naming its file and line, before any command is built,
+    so no line of the recipe runs. Recipe lines follow their rule's line.
     """
+    recipe = rule.recipe
+    for k, line in enumerate(recipe, start=1):
+        if "\0" in line:
+            raise DslSyntaxError(rule.origin.path, rule.origin.line + k,
+                                 "NUL byte in recipe line")
     redirect = f" </dev/null >>{shlex.quote(log)} 2>&1; echo $?\n"
-    commands = [os.fsencode(f"( set -e; eval {shlex.quote(line)} ){redirect}")
-                for line in rule.recipe]
-    if any(b"\0" in command for command in commands):
-        raise ValueError("embedded null byte")
-    return commands
+    return [os.fsencode(f"( set -e; eval {shlex.quote(line)} ){redirect}") for line in recipe]
 
 
 class Worker:

@@ -164,12 +164,6 @@ class LineageGraph:
         """(prerequisite, target) pairs, sorted and deduplicated."""
         return sorted({(p, t) for t, rule in self.rules.items() for p in rule.prerequisites})
 
-    def kind(self, path: str) -> str:
-        try:
-            return self.nodes[path]
-        except KeyError:
-            raise UnknownNode(path) from None
-
     def sources(self) -> list[str]:
         return sorted(p for p, k in self.nodes.items() if k == SOURCE)
 

@@ -194,31 +194,13 @@ def parse_workflow(text: str, origin: str) -> ParsedFile:
     """
     _reject_carriage_returns(text, origin)
     parsed = ParsedFile(path=origin)
-    current_rule: dict | None = None
-
-    def flush_rule() -> None:
-        nonlocal current_rule
-        if current_rule is not None:
-            parsed.items.append(
-                RuleTemplate(
-                    target_text=current_rule["target"],
-                    prereq_text=current_rule["prereqs"],
-                    recipe=tuple(current_rule["recipe"]),
-                    origin=current_rule["origin"],
-                )
-            )
-            current_rule = None
-
-    for lineno, line in enumerate(split_lines(text), start=1):
+    lines = split_lines(text)
+    lineno = 0  # 1-based number of the line last read
+    while lineno < len(lines):
+        line = lines[lineno]
+        lineno += 1
         if line.startswith("\t"):
-            if current_rule is None:
-                raise DslSyntaxError(origin, lineno, "recipe line outside a rule")
-            current_rule["recipe"].append(line[1:])
-            continue
-
-        # Any non-TAB line ends the rule currently being collected.
-        flush_rule()
-
+            raise DslSyntaxError(origin, lineno, "recipe line outside a rule")
         if _is_comment_or_blank(line):
             continue
 
@@ -245,17 +227,17 @@ def parse_workflow(text: str, origin: str) -> ParsedFile:
             target_text, _, prereq_text = stripped.partition(":")
             if not target_text.strip():
                 raise DslSyntaxError(origin, lineno, "rule with empty target")
-            current_rule = {
-                "target": target_text.strip(),
-                "prereqs": prereq_text.strip(),
-                "recipe": [],
-                "origin": Origin(origin, lineno),
-            }
+            end = lineno
+            while end < len(lines) and lines[end].startswith("\t"):
+                end += 1
+            recipe = tuple(recipe_line[1:] for recipe_line in lines[lineno:end])
+            parsed.items.append(RuleTemplate(target_text.strip(), prereq_text.strip(), recipe,
+                                             Origin(origin, lineno)))
+            lineno = end
             continue
 
         raise DslSyntaxError(origin, lineno, f"unrecognized statement: {stripped!r}")
 
-    flush_rule()
     return parsed
 
 

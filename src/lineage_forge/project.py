@@ -29,7 +29,9 @@ from .errors import (
 )
 from .executor import TIMESTAMP, EnvPolicy, ExecutionReport, execute
 from .fetch import InputResolver, Transport, UrllibTransport
-from .graph import BUILT, LineageGraph, Origin, Rule, ancestors, build_graph
+# `ancestors` is not called here: perfbench/tracing.py patches it by this
+# module's name, so the import stays.
+from .graph import LineageGraph, Origin, Rule, ancestors, build_graph
 from .lineage_cache import LINEAGE_RELPATH, CachedRun, LineageCache
 from .parser import (
     DEFAULT_ENTRY,
@@ -423,7 +425,6 @@ def run_make(
     jobs: int | None = None,
     mode: str = TIMESTAMP,
     offline: bool = False,
-    serial_verify: bool = False,
     goal: str | None = None,
     transport: Transport | None = None,
     insecure: bool = False,
@@ -469,12 +470,11 @@ def run_make(
                 on_event({"event": "input", "name": name, "path": str(resolved[name])})
 
     env_policy = EnvPolicy.hermetic(build_dir, config.tool_path, root)
-    n_jobs = jobs if jobs is not None else config.jobs
     try:
         report = execute(
             project.graph,
             the_goal,
-            n_jobs,
+            jobs if jobs is not None else config.jobs,
             env_policy,
             state,
             mode=mode,
@@ -490,15 +490,6 @@ def run_make(
             return MakeResult(report, None, None, the_goal)
 
         verification = _verify_stage(root, build_dir, on_event, state)
-        if verification is not None and not verification.ok and serial_verify and n_jobs > 1:
-            log.warning("verification failed after a parallel build; retrying serially")
-            _remove_built(project, the_goal, root, state)
-            report = execute(
-                project.graph, the_goal, 1, env_policy, state,
-                mode=mode, root=root, build_dir=build_dir,
-                on_event=on_event, group_gid=group_gid,
-            )
-            verification = _verify_stage(root, build_dir, on_event, state)
     finally:
         state.save(build_dir)
     if verification is not None and not verification.ok:
@@ -560,14 +551,6 @@ def _aggregate_stage(
     if on_event:
         on_event({"event": "aggregate", "path": str(out)})
     return out
-
-
-def _remove_built(project: Project, goal: str, root: Path, state: BuildState) -> None:
-    """Drop all built files in the goal's closure (serial re-verify path)."""
-    for node in ancestors(project.graph, goal):
-        if project.graph.nodes[node] == BUILT:
-            (root / node).unlink(missing_ok=True)
-            state.forget(node)
 
 
 def run_verify(root: str | Path, on_event: EventCallback | None = None) -> VerificationReport:

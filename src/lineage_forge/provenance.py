@@ -15,7 +15,6 @@ import json
 import re
 import struct
 import subprocess
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -117,30 +116,16 @@ def aggregate_macros(
 
 def _git(project_root: str | Path, *args: str) -> str | None:
     """The stripped output of `git -C project_root *args`; None when git
-    is missing, fails, or runs past GIT_TIMEOUT. The wait blocks, and a
-    timer kills a hung git: a wait with a timeout polls with sleeps."""
+    is missing, fails, or runs past GIT_TIMEOUT."""
     try:
-        proc = subprocess.Popen(
-            ["git", "-C", str(project_root), *args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-        )
-    except FileNotFoundError:
+        proc = subprocess.run(["git", "-C", str(project_root), *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True, timeout=GIT_TIMEOUT)
+    except (FileNotFoundError, subprocess.TimeoutExpired):
         return None
-    timer = threading.Timer(GIT_TIMEOUT, proc.kill)
-    with proc:
-        timer.start()
-        try:
-            out = proc.communicate()[0]
-        except BaseException:
-            proc.kill()
-            raise
-        finally:
-            timer.cancel()
     if proc.returncode != 0:
         return None
-    return out.strip()
+    return proc.stdout.strip()
 
 
 def git_state(project_root: str | Path) -> GitState | None:

@@ -178,9 +178,9 @@ class BuildState:
     """The store: the target records, by target, and the file table.
 
     `load` reads the file's bytes, its format line and the file table;
-    the first `get`, `put`, `forget` or read of `records` parses the
-    records. `changed` is True once a record or a file entry is put or
-    dropped, or a damaged line read; `save` writes nothing unless it is."""
+    the first `get`, `put` or read of `records` parses the records.
+    `changed` is True once a record or a file entry is put or dropped, or
+    a damaged line read; `save` writes nothing unless it is."""
 
     def __init__(self):
         self._records: dict[str, TargetRecord] = {}
@@ -202,10 +202,6 @@ class BuildState:
 
     def put(self, record: TargetRecord) -> None:
         self.records[record.target] = record
-        self.changed = True
-
-    def forget(self, target: str) -> None:
-        self.records.pop(target, None)
         self.changed = True
 
     def lookup(self, key: DigestKey, stat: StatKey) -> str | None:

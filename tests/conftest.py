@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lineage_forge.demo import create_demo_project
 from lineage_forge.project import configure
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def git(cwd: Path, *args: str) -> str:
@@ -25,6 +29,18 @@ def init_repo(path: Path) -> None:
     git(path, "add", "-A")
     git(path, "-c", "user.email=demo@example.org", "-c", "user.name=demo",
         "commit", "-qm", "initial")
+
+
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ this suite."""
 from __future__ import annotations
 
 import importlib
-import importlib.util
 import os
 import subprocess
 import sys
@@ -17,25 +16,12 @@ from unittest import mock
 
 import pytest
 
-from conftest import init_repo
+from conftest import init_repo, load_tracing
 from lineage_forge import lineage_cache, parser, project
 from lineage_forge.demo import create_demo_project
 from lineage_forge.executor import DIGEST
 
 REPO = Path(__file__).resolve().parents[1]
-TRACING = REPO / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
 
 TRACING_MODULE = load_tracing()
 WRAPPED = [(module_name, attr) for module_name, attr, *_ in TRACING_MODULE.WRAPS]

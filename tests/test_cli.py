@@ -119,6 +119,23 @@ class TestMake:
         assert "reproduce/analysis/make/top.wf:1: CR line ending" in proc.stderr
         assert not (tmp_path / "bd" / "out.txt").exists()
 
+    def test_nul_byte_in_recipe_exit_1_naming_file_and_line(self, tmp_path):
+        root = tiny_project(tmp_path, recipe="touch $@\n\techo a\0b")
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        proc = run_cli(root, "make")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: reproduce/analysis/make/top.wf:5: NUL byte in recipe line"]
+        assert not (tmp_path / "bd" / "out.txt").exists()
+
+    def test_serial_verify_is_a_usage_error(self, tmp_path):
+        root = tiny_project(tmp_path)
+        run_cli(root, "configure", "--build-dir", str(tmp_path / "bd"))
+        proc = run_cli(root, "make", "--serial-verify")
+        assert proc.returncode == 64
+        assert "--serial-verify" in proc.stderr
+        assert not (tmp_path / "bd" / "out.txt").exists()
+
     @pytest.mark.parametrize("jobs", ["two", "0"])
     def test_malformed_jobs_in_local_config_exit_1(self, tmp_path, jobs):
         root = tiny_project(tmp_path)
