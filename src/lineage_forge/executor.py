@@ -3,16 +3,22 @@ slot, in a scrubbed environment.
 
 Staleness follows classic rebuild semantics: in `timestamp` mode a target
 is stale when missing or older than any prerequisite; in `digest` mode
-when missing or when any prerequisite's content digest differs from the
-digest recorded at the target's last successful build. Staleness always
-propagates downstream. Recipes run under an environment constructed
-strictly from an EnvPolicy; nothing leaks in from the host.
+when missing or when any prerequisite's content differs from what the
+target's last successful build recorded: an unchanged, trusted StatKey
+settles it, else the content digest, and with no digest recorded the
+target is stale. Staleness always propagates downstream. A make takes
+each file's digest at most once, and only where something reads it: a
+built target's own, and in digest mode its prerequisites'. Recipes run
+under an environment constructed strictly from an EnvPolicy; nothing
+leaks in from the host.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import heapq
+import operator
 import os
 import selectors
 import shlex
@@ -32,7 +38,15 @@ from .errors import (
     UsageError,
 )
 from .graph import BUILT, SOURCE, LineageGraph, Rule, ancestors
-from .state import BuildState, TargetRecord, file_digest
+from .state import (
+    BuildState,
+    StatKey,
+    TargetRecord,
+    entry,
+    entry_digest,
+    file_digest,
+    stat_key,
+)
 
 TIMESTAMP = "timestamp"
 DIGEST = "digest"
@@ -159,10 +173,14 @@ class Worker:
 _ABSENT_ERRNOS = frozenset({errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP})
 
 
-def _mtime(path: str) -> int | None:
-    """Modification time in ns, or None where `Path.exists()` is False."""
+_MTIME = operator.attrgetter("st_mtime_ns")
+
+
+def _stat(path: str, of: Callable[[os.stat_result], int | StatKey]) -> int | StatKey | None:
+    """`of` the file's stat (`_MTIME` or `stat_key`), or None where
+    `Path.exists()` is False."""
     try:
-        return os.stat(path).st_mtime_ns
+        return of(os.stat(path))
     except OSError as exc:
         if exc.errno in _ABSENT_ERRNOS:
             return None
@@ -171,16 +189,25 @@ def _mtime(path: str) -> int | None:
         return None
 
 
-def _digest_or_empty(path: str, state: BuildState) -> str:
-    """The file's digest, or "" where `Path.exists()` is False."""
+def _digest_or_empty(path: str, stat: StatKey, state: BuildState,
+                     digests: dict[str, tuple[StatKey, str]]) -> str:
+    """The digest of the file whose StatKey is `stat`, or "" where
+    `Path.exists()` is False. `digests`, the make's memo, maps each path
+    hashed so far to its StatKey and digest then, so that no file with
+    an unchanged StatKey is hashed twice in one make."""
+    seen = digests.get(path)
+    if seen is not None and seen[0] == stat:
+        return seen[1]
     try:
-        return file_digest(path, cache=state)
+        digest = file_digest(path, cache=state)
     except OSError as exc:
         if exc.errno in _ABSENT_ERRNOS:
             return ""
         raise
     except ValueError:
         return ""
+    digests[path] = (stat, digest)
+    return digest
 
 
 def stale_set(
@@ -191,13 +218,17 @@ def stale_set(
     root: str | Path = ".",
     *,
     closure: set[str] | None = None,
+    digests: dict[str, tuple[StatKey, str]] | None = None,
 ) -> set[str]:
     """Built nodes in the goal's closure that need rebuilding.
 
     Each node of the closure is stat'd once. Raises MissingSource for any
     source file in the closure that does not exist on disk. `closure` is
-    `ancestors(graph, goal)` when the caller has it already. `state`
-    serves every `file_digest` call as its cache.
+    `ancestors(graph, goal)` when the caller has it already. In digest
+    mode a prerequisite is hashed only where its record's entry does not
+    settle it by StatKey (`BuildState.unchanged`), at most once, into the
+    make's memo `digests`; `state` serves every `file_digest` call as its
+    cache.
     """
     # Graph paths are normalized and relative, so `prefix + node` names
     # the file `root / node` does, without building a Path per node.
@@ -205,22 +236,28 @@ def stale_set(
     if closure is None:
         closure = ancestors(graph, goal)
     order = [n for n in graph.order if n in closure]
-    mtime = {n: _mtime(prefix + n) for n in order}  # None: missing
+    # Each node's mtime, or in digest mode its StatKey, which takes
+    # several times the memory; None where it is missing.
+    of = stat_key if mode == DIGEST else _MTIME
+    stats = {n: _stat(prefix + n, of) for n in order}
 
-    missing = [n for n in order if mtime[n] is None and graph.nodes[n] == SOURCE]
+    missing = [n for n in order if stats[n] is None and graph.nodes[n] == SOURCE]
     if missing:
         raise MissingSource(min(missing))
 
-    digests: dict[str, str] = {}
+    if digests is None:
+        digests = {}
 
     def digest_changed(rule: Rule) -> bool:
         rec = state.get(rule.target)
-        if rec is None or len(rec.prereq_digests) != len(rule.prerequisites):
+        if rec is None or len(rec.prereqs) != len(rule.prerequisites):
             return True
-        for prereq, recorded in zip(rule.prerequisites, rec.prereq_digests):
-            if prereq not in digests:
-                digests[prereq] = file_digest(prefix + prereq, cache=state)
-            if digests[prereq] != recorded:
+        for prereq, recorded in zip(rule.prerequisites, rec.prereqs):
+            key = stats[prereq]
+            if state.unchanged(recorded, key):
+                continue
+            digest = entry_digest(recorded)
+            if not digest or _digest_or_empty(prefix + prereq, key, state, digests) != digest:
                 return True
         return False
 
@@ -233,12 +270,12 @@ def stale_set(
         rule = graph.rules.get(target)
         if rule is None:
             continue
-        built = mtime[target]
+        built = stats[target]
         if built is None or not stale.isdisjoint(rule.prerequisites):
             stale.add(target)
         elif mode == TIMESTAMP:
             for prereq in rule.prerequisites:  # a loop, not a generator per rule
-                if mtime[prereq] > built:
+                if stats[prereq] > built:
                     stale.add(target)
                     break
         elif mode == DIGEST and digest_changed(rule):
@@ -246,9 +283,8 @@ def stale_set(
     return stale
 
 
-def _open_log(build_dir: Path, target: str) -> BinaryIO:
-    """The target's log, `<build>/logs/<target>.log`."""
-    path = build_dir / "logs" / (target.removeprefix(".build/") + ".log")
+def _open_log(path: Path) -> BinaryIO:
+    """Open a target's log empty, for its recipe about to run."""
     path.parent.mkdir(parents=True, exist_ok=True)
     return open(path, "w+b")
 
@@ -281,8 +317,10 @@ def execute(
     running recipe's lines go to one of at most `jobs` worker shells,
     each started the first time a slot needs it. On the first failure no
     new work is scheduled; running recipes drain. Each recipe writes
-    `<build>/logs/<target>.log` as it runs, and the build state records
-    content digests for the digest staleness mode.
+    `<build>/logs/<target>.log` as it runs; a refused recipe (see
+    `run_recipe`) leaves the previous log as it was, and a target with
+    no recipe lines has none written. The build state records each built
+    target (see `_record`).
     """
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
@@ -291,7 +329,8 @@ def execute(
     build_path = Path(build_dir).absolute()
 
     closure = ancestors(graph, goal)
-    stale = stale_set(graph, goal, state, mode, root, closure=closure)
+    digests: dict[str, tuple[StatKey, str]] = {}  # the make's memo, see `_digest_or_empty`
+    stale = stale_set(graph, goal, state, mode, root, closure=closure, digests=digests)
     report = ExecutionReport(jobs=jobs)
     report.skipped_fresh = sorted(n for n in closure - stale if graph.nodes[n] == BUILT)
 
@@ -314,11 +353,12 @@ def execute(
     failure: FailedTarget | None = None
     # worker -> (target, commands still to send, log, started) for each
     # running line, whose worker's stdout is registered with `selector`;
-    # `done` holds targets whose recipe ended, in the order they ended. A
-    # target holds its slot until the loop has settled it, so at most
-    # `jobs` workers live: those in `idle` and those in `running`.
+    # `done` holds targets whose recipe ended, in the order they ended,
+    # with no log for an empty recipe. A target holds its slot until the
+    # loop has settled it, so at most `jobs` workers live: those in
+    # `idle` and those in `running`.
     running: dict[Worker, tuple[str, Iterator[bytes], BinaryIO, float]] = {}
-    done: deque[tuple[str, int, BinaryIO, float, float]] = deque()
+    done: deque[tuple[str, int, BinaryIO | None, float, float]] = deque()
     idle: list[Worker] = []
     selector = selectors.DefaultSelector()
 
@@ -331,20 +371,20 @@ def execute(
     def fill() -> None:
         while ready and len(running) + len(done) < jobs and failure is None:
             target = heapq.heappop(ready)
-            log = _open_log(build_path, target)
             started = time.monotonic()
+            path = build_path / "logs" / (target.removeprefix(".build/") + ".log")
+            commands = iter(run_recipe(graph.rules[target], str(path)))
+            command = next(commands, None)
+            if command is None:
+                done.append((target, 0, None, started, time.monotonic()))
+                continue
+            log = _open_log(path)
             try:
-                commands = iter(run_recipe(graph.rules[target], log.name))
-                command = next(commands, None)
-                if command is not None:
-                    worker = idle.pop() if idle else Worker(env)
+                worker = idle.pop() if idle else Worker(env)
             except BaseException:
                 log.close()
                 raise
-            if command is None:
-                done.append((target, 0, log, started, time.monotonic()))
-            else:
-                send(worker, command, (target, commands, log, started))
+            send(worker, command, (target, commands, log, started))
 
     try:
         fill()
@@ -365,7 +405,7 @@ def execute(
                     done.append((target, status, log, started, time.monotonic()))
                 continue
             target, status, log, started, finished = done.popleft()
-            with log:
+            with log or contextlib.nullcontext():
                 rule = graph.rules[target]
                 tpath = prefix + target
                 if status == 0 and (not rule.recipe or os.path.exists(tpath)):
@@ -380,7 +420,7 @@ def execute(
                     report.executed.append(ExecutedTarget(target, 0, seconds, started, finished))
                     if group_gid is not None and os.path.exists(tpath):
                         _apply_group(tpath, group_gid)
-                    _record(state, rule, prefix, tpath)
+                    _record(state, rule, prefix, tpath, mode, digests)
                     if on_event:
                         on_event({"event": "built", "target": target, "seconds": round(seconds, 4)})
                     continue
@@ -401,7 +441,8 @@ def execute(
         for _, _, log, _ in running.values():
             log.close()
         for _, _, log, _, _ in done:
-            log.close()
+            if log is not None:
+                log.close()
 
     report.failed = failure
     if failure is not None:
@@ -412,18 +453,27 @@ def execute(
     return report
 
 
-def _record(state: BuildState, rule: Rule, prefix: str, tpath: str) -> None:
-    """Record the target's digest and its prerequisites', each "" for a
-    path that is missing (see `state.py`)."""
-    state.put(
-        TargetRecord(
-            target=rule.target,
-            built_at=int(time.time()),
-            target_digest=_digest_or_empty(tpath, state),
-            prereq_digests=tuple(_digest_or_empty(prefix + p, state)
-                                 for p in rule.prerequisites),
-        )
-    )
+def _record(state: BuildState, rule: Rule, prefix: str, tpath: str, mode: str,
+            digests: dict[str, tuple[StatKey, str]]) -> None:
+    """Record the target's digest and an entry per prerequisite (see
+    `state.py`): its StatKey, one stat each, and in digest mode, where
+    staleness reads it, its digest. A missing file's digest or entry is
+    "". `digests` is the make's memo (see `_digest_or_empty`)."""
+    key = _stat(tpath, stat_key)
+    target_digest = "" if key is None else _digest_or_empty(tpath, key, state, digests)
+    paths = tuple(prefix + p for p in rule.prerequisites)
+    entries = []
+    newest = 0
+    for path in paths:
+        key = _stat(path, stat_key)
+        if key is None:
+            entries.append("")
+            continue
+        newest = max(newest, key[3], key[4])
+        entries.append(entry(key, _digest_or_empty(path, key, state, digests)
+                             if mode == DIGEST else ""))
+    state.put(TargetRecord(rule.target, int(time.time()), target_digest, tuple(entries)),
+              paths, newest)
 
 
 def _apply_group(path: str, gid: int) -> None:

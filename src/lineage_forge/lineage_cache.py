@@ -21,7 +21,11 @@ include tree (`flatten_statements`) the same way: it takes every trusted
 file's statements from its record, each run of its templates as one
 `CachedRun`, opens only the other files, and globs every include. A
 cached template keeps its rules unless it reads a name whose value
-changed; then only its own lines are read again. A cached rule keeps
+changed; then only its own lines are read again, and they must hold the
+template its record holds: expanded with the header's variables, they
+give its item. If they do not, or the file changed since its record was
+trusted, the load parses every file and writes the cache afresh. A
+cached rule keeps
 its recipe text and origin as the record holds them, checked, and
 decodes them when first read (`cached_rules`). When no file was
 parsed, no template expanded and every include matched the paths its
@@ -47,7 +51,7 @@ import os
 from pathlib import Path
 
 from . import __version__
-from .errors import DslSyntaxError
+from .errors import LineageError
 from .graph import BUILT, SOURCE, LineageGraph, Origin, Rule, cached_rules
 from .parser import (
     ConfigParam,
@@ -55,6 +59,7 @@ from .parser import (
     LoadedFile,
     ParsedFile,
     RuleTemplate,
+    instantiate_rules,
     parse_workflow,
     references,
 )
@@ -64,6 +69,18 @@ log = logging.getLogger("lineage_forge.lineage_cache")
 
 LINEAGE_RELPATH = "state/lineage.json"
 FORMAT = 5
+
+
+def _template_item(t: RuleTemplate, rules: list[Rule]) -> list:
+    """A template's item in its file's record: its line, the names its
+    texts read, its targets and its prerequisites, each joined by spaces,
+    then each target's recipe with a newline before every line. Names and
+    expanded paths hold no whitespace and expanded recipe lines no
+    newline, so all split back exactly."""
+    reads = set().union(*map(references, (t.target_text, t.prereq_text, *t.recipe)))
+    return [t.origin.line, " ".join(sorted(reads)), " ".join([r.target for r in rules]),
+            " ".join(rules[0].prerequisites),
+            *["".join(["\n" + line for line in r.recipe]) for r in rules]]
 
 
 def _texts(value: object) -> list[str]:
@@ -261,32 +278,26 @@ class LineageCache:
                 end = first.origin.line + len(first.recipe)
                 try:
                     parsed = parse_workflow("\n".join(lines[first.origin.line - 1:end]), path)
-                except DslSyntaxError:
+                    if len(parsed.items) != 1 or type(parsed.items[0]) is not RuleTemplate:
+                        return None
+                    t = dataclasses.replace(parsed.items[0], origin=first.origin)
+                    # Under the variables the record was written with, the
+                    # template those lines hold gives the record's item.
+                    if _template_item(t, instantiate_rules([t], self.env)[0]) != out[i].items[0]:
+                        return None
+                except LineageError:
                     return None
-                if len(parsed.items) != 1 or type(parsed.items[0]) is not RuleTemplate:
-                    return None
-                out[i] = dataclasses.replace(parsed.items[0], origin=first.origin)
+                out[i] = t
         return out
 
     def save(self, entry: str, files: list[LoadedFile], env: dict[str, str],
              expanded: list[tuple[RuleTemplate, list[Rule]]], graph: LineageGraph) -> None:
         """Write what one load found; `expanded` holds each template the
-        load expanded, with its rules.
-
-        A template is one item: its line, the names its texts read, its
-        targets and its prerequisites, each joined by spaces, then each
-        target's recipe with a newline before every line. Names and
-        expanded paths hold no whitespace and expanded recipe lines no
-        newline, so all split back exactly. A file whose record was
-        trusted, whose templates all kept their rules and whose includes
-        matched the same paths keeps its line as it was read."""
+        load expanded, with its rules, each of which is one item
+        (`_template_item`). A file whose record was trusted, whose
+        templates all kept their rules and whose includes matched the same
+        paths keeps its line as it was read."""
         fresh = {(t.origin.path, t.origin.line): (t, rules) for t, rules in expanded}
-
-        def template(t: RuleTemplate, rules: list[Rule]) -> list:
-            reads = set().union(*map(references, (t.target_text, t.prereq_text, *t.recipe)))
-            return [t.origin.line, " ".join(sorted(reads)), " ".join([r.target for r in rules]),
-                    " ".join(rules[0].prerequisites),
-                    *["".join(["\n" + line for line in r.recipe]) for r in rules]]
 
         def items(f: LoadedFile) -> list[list]:
             out: list[list] = []
@@ -296,9 +307,9 @@ class LineageCache:
                 elif type(x) is IncludeDirective:
                     out.append(["include", x.origin.line, x.pattern, x.optional])
                 elif type(x) is RuleTemplate:
-                    out.append(template(*fresh[f.path, x.origin.line]))
+                    out.append(_template_item(*fresh[f.path, x.origin.line]))
                 else:  # a CachedRun: each template's item, unless it was parsed again
-                    out += [template(*fresh[f.path, item[0]]) if (f.path, item[0]) in fresh
+                    out += [_template_item(*fresh[f.path, item[0]]) if (f.path, item[0]) in fresh
                             else item for item in x.items]
             return out
 

@@ -174,15 +174,22 @@ class Project:
         nothing is written."""
         root = Path(root)
         cache = None if build_dir is None else LineageCache.load(build_dir, root, entry)
-        files, statements = flatten_statements(
-            entry, root, cached=None if cache is None else cache.parsed())
-        env = build_env(statements, builtins={"BDIR": BUILD_LINK})
-        # Each a template to expand, or a run of cached ones.
-        templates = [item for item in statements if isinstance(item, (RuleTemplate, CachedRun))]
-        if cache is not None:
-            templates = cache.templates(root, templates, env)
-            if templates is None:  # a file changed after its record was trusted
-                return cls.load(root, entry)
+        while True:
+            files, statements = flatten_statements(
+                entry, root, cached=None if cache is None else cache.parsed())
+            env = build_env(statements, builtins={"BDIR": BUILD_LINK})
+            # Each a template to expand, or a run of cached ones.
+            templates = [item for item in statements
+                         if isinstance(item, (RuleTemplate, CachedRun))]
+            if cache is not None:
+                templates = cache.templates(root, templates, env)
+                if templates is None:
+                    # A file changed after its record was trusted, or a
+                    # record no longer matches its file: parse every file,
+                    # and write the cache afresh.
+                    cache = LineageCache(cache.path)
+                    continue
+            break
         todo = [t for t in templates if type(t) is RuleTemplate]
         new = instantiate_rules(todo, env)
         fresh = iter(new)

@@ -16,7 +16,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from lineage_forge.state import STATE_RELPATH, BuildState, TargetRecord, stat_key
+from lineage_forge.state import FORMAT, STATE_RELPATH, BuildState, TargetRecord, stat_key
 
 TARGETS = st.text(st.characters(blacklist_categories=("Cs",),
                                 blacklist_characters="\t\n\r"), max_size=12)
@@ -150,12 +150,12 @@ class TestRoundTrip:
             state.save(tmp)
             path = Path(tmp) / STATE_RELPATH
             *lines, last = path.read_bytes().split(b"\n")[:-1]
-            assert last.startswith(b"lineage-forge build-state 1 tick ")
+            assert last.startswith(b"lineage-forge build-state %d tick " % FORMAT)
             last = {
                 "cut": last[:-1 - len(last) // 2],
                 "no-tick": last.rpartition(b" ")[0],
                 "bad-tick": last + b"x",
-                "other-format": last.replace(b" 1 ", b" 9 "),
+                "other-format": last.replace(b" %d " % FORMAT, b" 9 "),
                 "not-utf8": b"\xff" + last,
                 "removed": None,
             }[kind]

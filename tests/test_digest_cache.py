@@ -61,14 +61,14 @@ def write_store(store: Path, file_lines: bytes, tick: int, records: bytes = b"")
     line that records `tick`."""
     store.parent.mkdir(parents=True, exist_ok=True)
     store.write_bytes(records + b"\n" + file_lines
-                      + b"lineage-forge build-state 1 tick %d\n" % tick)
+                      + b"lineage-forge build-state %d tick %d\n" % (state.FORMAT, tick))
 
 
 def file_table(store: Path) -> bytes:
     """The file-table lines of a store that `save` wrote."""
     data = store.read_bytes()
     body, _, format_line = data[:-1].rpartition(b"\n")
-    assert format_line.startswith(b"lineage-forge build-state 1 tick ")
+    assert format_line.startswith(b"lineage-forge build-state %d tick " % state.FORMAT)
     return (b"\n" + body + b"\n").rpartition(b"\n\n")[2]
 
 
@@ -421,6 +421,20 @@ class TestModeSwitch:
         assert remembered == []
 
 
+def previous_records(root: Path) -> bytes:
+    """The records of the built project as engines before StatKeys wrote
+    them: each target's digest, then its prerequisites' digests in rule
+    order, "" for a missing file."""
+    def digest(path: Path) -> str:
+        return file_digest(path) if path.is_file() else ""
+
+    graph = project.Project.load(root).graph
+    return b"".join(
+        f"{target}\t1\t{digest(root / target)}\t"
+        f"{';'.join(digest(root / p) for p in rule.prerequisites)}\n".encode("utf-8")
+        for target, rule in sorted(graph.rules.items()))
+
+
 class TestUpgrade:
     def test_state_of_the_previous_format_rebuilds_nothing(self, demo_project, tmp_path,
                                                            small_chunks):
@@ -431,7 +445,7 @@ class TestUpgrade:
         project.run_make(demo_project, offline=True)
         build = tmp_path / "build"
         store, legacy = build / STATE_RELPATH, build / "state" / "digests.tsv"
-        records = store.read_bytes().partition(b"\n\n")[0] + b"\n"
+        records = previous_records(demo_project)
         deliverable = build / "demo" / "papers-formatted.txt"
         wait_past([deliverable], tmp_path / "probe")
         store.write_bytes(records)
@@ -449,3 +463,29 @@ class TestUpgrade:
 
         project.clean(demo_project)
         assert not legacy.exists() and not store.exists()
+
+    def test_format_1_store_rebuilds_nothing_until_a_record_moves_it_on(
+            self, demo_project, tmp_path):
+        """A store of format 1, whose records hold digests alone, is read
+        as it is in either mode; the first make that records a target
+        writes format 2, its records of old kept as they were."""
+        project.run_make(demo_project, offline=True)
+        store = tmp_path / "build" / STATE_RELPATH
+        records = previous_records(demo_project)
+        wait_past([p for p in tmp_path.rglob("*") if p.is_file()], tmp_path / "probe")
+        old = records + b"\nlineage-forge build-state 1 tick %d\n" % time.time_ns()
+        store.write_bytes(old)
+        for mode in ("timestamp", DIGEST):
+            assert project.run_make(demo_project, mode=mode, offline=True).report.executed == []
+        assert store.read_bytes() == old
+
+        conf = demo_project / "reproduce/analysis/config/demo-year.conf"
+        conf.write_text(conf.read_text().replace("demo-year = 1996", "demo-year = 1997"))
+        rebuilt = project.run_make(demo_project, offline=True).report.executed_targets()
+        assert rebuilt
+        lines = store.read_bytes().split(b"\n")
+        assert lines[-2].startswith(b"lineage-forge build-state 2 tick ")
+        kept = [line for line in records.split(b"\n")[:-1]
+                if line.split(b"\t")[0].decode() not in rebuilt]
+        assert kept and set(kept) <= set(lines)
+        assert project.run_make(demo_project, mode=DIGEST, offline=True).report.executed == []

@@ -469,11 +469,11 @@ class TestExecute:
         execute(graph, "goal", 1, policy(tmp_path), state, mode=DIGEST, root=tmp_path,
                 build_dir=tmp_path / "bd")
         record = state.records["goal"]
-        assert (record.target_digest, record.prereq_digests) == (
+        assert (record.target_digest, record.prereqs) == (
             file_digest(tmp_path / "goal"), ("",))
         state.save(tmp_path / "bd")
         loaded = BuildState.load(tmp_path / "bd")
-        assert loaded.records["goal"].prereq_digests == ()
+        assert loaded.records["goal"].prereqs == ()
         (tmp_path / "away").rename(tmp_path / "mid")  # `mid` is fresh again
         for _ in range(2):
             report = execute(graph, "goal", 1, policy(tmp_path), loaded, mode=DIGEST,
@@ -690,6 +690,24 @@ class TestWorkerSemantics:
             execute(build_graph(rules), "n", 1, policy(tmp_path), BuildState(), root=tmp_path,
                     build_dir=tmp_path / "bd")
         assert not (tmp_path / "n").exists()
+
+    def test_refused_recipe_keeps_the_previous_log(self, tmp_path):
+        build = tmp_path / "bd"
+        write(tmp_path, "src")
+        graph = build_graph([R("n", ["src"], recipe=("echo built", "touch n"))])
+        execute(graph, "n", 1, policy(tmp_path), BuildState(), root=tmp_path, build_dir=build)
+        log = build / "logs" / "n.log"
+        before = log.read_bytes(), os.stat(log)
+        assert before[0] == b"built\n"
+        (tmp_path / "n").unlink()
+        graph = build_graph([R("n", ["src"], recipe=("echo built", "echo a\0b"))])
+        with pytest.raises(DslSyntaxError):
+            execute(graph, "n", 1, policy(tmp_path), BuildState(), root=tmp_path,
+                    build_dir=build)
+        after = log.read_bytes(), os.stat(log)
+        assert after[0] == before[0]
+        assert (after[1].st_mtime_ns, after[1].st_ctime_ns) == \
+            (before[1].st_mtime_ns, before[1].st_ctime_ns)
 
     def test_killing_the_worker_fails_the_target(self, tmp_path):
         rules = [R("k", recipe=("test -e once || { touch once; kill -TERM $$; }",

@@ -807,6 +807,28 @@ class TestRecordNoLongerMatchesItsFile:
         (root / CONF_DIR / "a.conf").write_text("k0 = 5\nk1 = $(k0)x\n", encoding="utf-8")
         assert outcome(root, build) == outcome(root)
 
+    def test_record_names_the_line_of_a_template_that_reads_the_same(self, tiny):
+        root, build = tiny
+        one = f"{MAKE_DIR}/one.wf"
+        with open(root / one, "a", encoding="utf-8") as fh:
+            fh.write("\n$(BDIR)/in2.txt:\n\techo $(k0) > $@\n")
+        wait_past(root, build.parent / "probe")
+        outcome(root, build)
+        cache = build / LINEAGE_RELPATH
+        header, *lines = cache.read_bytes().split(b"\n")
+        at = next(i for i, line in enumerate(lines) if json.loads(line)[0] == one)
+        record = json.loads(lines[at])
+        by_target = {item[2]: item for item in record[2] if type(item[0]) is int}
+        in_txt, in2_txt = by_target[".build/in.txt"], by_target[".build/in2.txt"]
+        assert in_txt[1] == in2_txt[1] == "BDIR k0"
+        in_txt[0] = in2_txt[0]  # well formed, and parsed again it is a template
+        lines[at] = json.dumps(record).encode()
+        cache.write_bytes(b"\n".join([header, *lines]))
+        (root / CONF_DIR / "a.conf").write_text("k0 = 5\nk1 = $(k0)x\n", encoding="utf-8")
+        cached = outcome(root, build)
+        assert cached == outcome(root)
+        assert {".build/in.txt", ".build/in2.txt"} <= dict(cached[1]).keys()
+
 
 # Each garble of one template's item that a rule read from the cache could
 # only show when its recipe or origin is first read, after the load.
